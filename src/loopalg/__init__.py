@@ -8,8 +8,6 @@ from .scalars import (
     NonPositiveEval,
     NotSymmetric,
     PuiseuxScalar,
-    scalar_eval,
-    scalar_limit_at_zero,
     signature,
 )
 from .liealg import (
@@ -41,7 +39,6 @@ from .loop import (
     bundled_spec,
     check_selection,
     embedding_check,
-    evaluate_at,
     factor_algebra,
     loop_bracket,
     max_window,
@@ -51,13 +48,11 @@ from .kepler import (
     BoundaryTooClose,
     IdentityFailed,
     KeplerParams,
-    Observable,
     OracleReport,
     PhasePoint,
     cross_check_loop_spec,
     evaluate,
     identity_suite,
-    observable,
     poisson,
     poisson_fn,
     sample_points,

@@ -44,7 +44,7 @@ _VALIDATION_ERRORS = (
     WrongDimension,
     ContractionUndefined,
     LinearlyDependent,
-    liealg.NotClosed,
+    liealg.NotInSpan,
     loop.NotClosed,
     loop.GradeMismatch,
     loop.BracketMismatch,
@@ -104,6 +104,16 @@ def _parse_fractions(text, what):
         raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
+def _at_eps(alg: LieAlgebra, text) -> LieAlgebra:
+    """alg with the --eps value substituted, or alg itself without --eps."""
+    if text is None:
+        return alg
+    values = _parse_fractions(text, "eps")
+    if len(values) != 1:
+        raise UsageError(f"--eps takes one rational, got {text!r}")
+    return alg.evaluate_at(values[0])
+
+
 def _parse_ints(text, what):
     try:
         return [int(part.strip()) for part in text.split(",")]
@@ -150,10 +160,7 @@ def _cmd_validate(args):
 
 
 def _cmd_classify(args):
-    alg = _load_algebra(args.file)
-    if args.eps is not None:
-        alg = alg.evaluate_at(Fraction(args.eps))
-    label = classify3(alg)
+    label = classify3(_at_eps(_load_algebra(args.file), args.eps))
     _emit(args, {"label": label}, label)
     return OK
 
@@ -170,9 +177,7 @@ def _cmd_contract(args):
 def _cmd_quotient(args):
     spec = _load_spec(args.file)
     levels = _parse_ints(args.levels, "levels") if args.levels else None
-    alg = factor_algebra(spec, levels)
-    if args.eps is not None:
-        alg = alg.evaluate_at(Fraction(args.eps))
+    alg = _at_eps(factor_algebra(spec, levels), args.eps)
     _emit(args, {"algebra": alg.to_json()}, _algebra_lines(alg))
     return OK
 
@@ -190,6 +195,8 @@ def _cmd_verify_kepler(args):
         params = kepler.KeplerParams(m=args.m, alpha=args.alpha, beta=args.beta)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     report = kepler.identity_suite(
         params, samples=args.samples, seed=args.seed, tol=args.tol
     )
@@ -221,18 +228,11 @@ def demo_table1():
 
 def _cmd_demo_table1(args):
     rows = demo_table1()
-    if args.format == "json":
-        print(json.dumps(
-            [{**row, "labels": list(row["labels"]), "expected": list(row["expected"])}
-             for row in rows],
-            indent=2, sort_keys=True,
-        ))
-    else:
-        header = f"{'spec':6} {'E<0 (eps=1)':14} {'E=0 (eps=0)':14} {'E>0 (eps=-1)':14} match"
-        print(header)
-        for row in rows:
-            a, b, c = row["labels"]
-            print(f"{row['spec']:6} {a:14} {b:14} {c:14} {'yes' if row['match'] else 'NO'}")
+    lines = [f"{'spec':6} {'E<0 (eps=1)':14} {'E=0 (eps=0)':14} {'E>0 (eps=-1)':14} match"]
+    for row in rows:
+        a, b, c = row["labels"]
+        lines.append(f"{row['spec']:6} {a:14} {b:14} {c:14} {'yes' if row['match'] else 'NO'}")
+    _emit(args, rows, "\n".join(lines))
     return OK if all(row["match"] for row in rows) else FAIL_VALIDATION
 
 
@@ -331,22 +331,15 @@ def demo_hysteresis():
 
 def _cmd_demo_hysteresis(args):
     result = demo_hysteresis()
-    if args.format == "json":
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        a = result["path_A"]
-        b = result["path_B"]
-        print(f"path A ({a['order']}):")
-        for pt in a["points"]:
-            print(f"  eps={pt['eps']:>4}: {pt['label']}")
-        print(f"path B ({b['order']}):")
-        for pt in b["eps_leg"]:
-            print(f"  eps={pt['eps']:>4}: {pt['label']}")
-        for pt in b["beta_leg"]:
-            print(f"  beta={pt['beta']:>3}: {pt['label']}")
-        o = result["origin_labels"]
-        print(f"origin labels: path A -> {o['path_A']}, path B -> {o['path_B']}"
-              f" ({'different' if result['hysteresis'] else 'same'})")
+    a, b, o = result["path_A"], result["path_B"], result["origin_labels"]
+    lines = [f"path A ({a['order']}):"]
+    lines += [f"  eps={pt['eps']:>4}: {pt['label']}" for pt in a["points"]]
+    lines.append(f"path B ({b['order']}):")
+    lines += [f"  eps={pt['eps']:>4}: {pt['label']}" for pt in b["eps_leg"]]
+    lines += [f"  beta={pt['beta']:>3}: {pt['label']}" for pt in b["beta_leg"]]
+    lines.append(f"origin labels: path A -> {o['path_A']}, path B -> {o['path_B']}"
+                 f" ({'different' if result['hysteresis'] else 'same'})")
+    _emit(args, result, "\n".join(lines))
     return OK if result["hysteresis"] else FAIL_VALIDATION
 
 
@@ -376,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", _cmd_classify, "classify a 3-dimensional algebra file")
     p.add_argument("file")
-    p.add_argument("--eps", help="substitute this rational for eps first")
+    p.add_argument("--eps", help="substitute this rational for eps first "
+                   "(write a negative value as --eps=-1/2)")
 
     p = add("contract", _cmd_contract, "contract an algebra file with rational weights")
     p.add_argument("file")
@@ -385,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("quotient", _cmd_quotient, "factor algebra of a loop spec by its energy ideal")
     p.add_argument("file")
     p.add_argument("--levels", help="comma-separated minimal levels (default: file selection or zeros)")
-    p.add_argument("--eps", help="substitute this rational for eps")
+    p.add_argument("--eps", help="substitute this rational for eps "
+                   "(write a negative value as --eps=-1/2)")
 
     p = add("selection-check", _cmd_selection_check, "check that tower levels select a closed subalgebra")
     p.add_argument("file")

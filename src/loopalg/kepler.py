@@ -69,6 +69,9 @@ class KeplerParams:
     beta: float = 0.5
 
     def __post_init__(self):
+        for name in ("m", "alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.m <= 0:
             raise ValueError(f"mass must be positive, got {self.m}")
 
@@ -141,39 +144,15 @@ def _bind_all(params: KeplerParams):
     }
 
 
-class Observable:
-    """Named real-valued phase-space function with parameters."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        if name not in OBSERVABLE_NAMES:
-            raise KeyError(f"unknown observable {name!r}; choose from {OBSERVABLE_NAMES}")
-        self.name = name
-
-    def bind(self, params: KeplerParams):
-        return _bind_all(params)[self.name]
-
-    def __call__(self, params: KeplerParams, point: PhasePoint) -> float:
-        return self.bind(params)(*point.astuple())
-
-    def __repr__(self):
-        return f"Observable({self.name!r})"
-
-
-def observable(name: str) -> Observable:
-    return Observable(name)
-
-
 def evaluate(obs, params: KeplerParams, point: PhasePoint) -> float:
-    """Closed-form value of an observable (by name or Observable) at a point."""
+    """Closed-form value of an observable (by name or raw closure) at a point."""
     return _resolve(obs, params)(*point.astuple())
 
 
 def _resolve(obs, params):
-    if isinstance(obs, Observable):
-        return obs.bind(params)
     if isinstance(obs, str):
+        if obs not in OBSERVABLE_NAMES:
+            raise KeyError(f"unknown observable {obs!r}; choose from {OBSERVABLE_NAMES}")
         return _bind_all(params)[obs]
     if callable(obs):
         return obs
@@ -300,9 +279,9 @@ def _run_identities(identities, points, tol, step, fail_fast):
             want = rhs(*x)
             scale = max(1.0, abs(lhs), abs(want), abs(fr(*x)), abs(gr(*x)))
             res = abs(lhs - want) / scale
-            if res > worst:
+            if res > worst or math.isnan(res):  # once NaN, worst stays NaN
                 worst = res
-            if fail_fast and res > tol:
+            if fail_fast and not res <= tol:
                 raise IdentityFailed(name, x, res)
         results.append(IdentityResult(name, len(points), worst, worst <= tol))
     return results

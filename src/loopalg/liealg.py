@@ -6,8 +6,11 @@ An algebra is stored as sparse antisymmetric structure constants over
     [X_i, X_j] = sum_k C_ij^k X_k,
 
 with the (j, i) bracket implied by antisymmetry.  The Jacobi identity is
-checked exactly on construction, so every value of this type is a genuine
-Lie algebra (possibly depending on the parameter eps).
+checked exactly where input enters (direct construction and ``from_json``),
+so every value of this type is a genuine Lie algebra (possibly depending on
+the parameter eps).  Operations whose results are Lie algebras by
+construction -- basis changes, rescalings, substitutions of eps, contraction
+limits, matrix commutators -- skip the re-check.
 
 On top of the data type this module provides the structural toolbox used by
 the quotient/contraction pipeline: derived subalgebra and center dimensions,
@@ -18,12 +21,11 @@ extraction of structure constants from a list of matrix generators.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .scalars import PuiseuxScalar, as_fraction, signature
+from .scalars import PuiseuxScalar, add_term, as_fraction, signature
 
 CLASS_LABELS = ("so3", "so21", "e2", "e11", "heisenberg", "abelian3", "other")
 
@@ -58,7 +60,7 @@ class ContractionUndefined(ValueError):
         super().__init__(f"contraction undefined; violated triples: {detail}")
 
 
-class NotClosed(ValueError):
+class NotInSpan(ValueError):
     """A matrix commutator leaves the span of the given generators."""
 
     def __init__(self, i, j):
@@ -102,11 +104,7 @@ class LieAlgebra:
             for k, coeff in items:
                 if not 0 <= k < self._dim:
                     raise AlgebraFormatError(f"bracket target {k} out of range")
-                s = row.get(k, PuiseuxScalar.zero()) + _coerce_scalar(coeff)
-                if s:
-                    row[k] = s
-                elif k in row:
-                    del row[k]
+                add_term(row, k, _coerce_scalar(coeff))
             if row:
                 table[(i, j)] = row
         self._brackets = table
@@ -138,11 +136,7 @@ class LieAlgebra:
         out: dict[int, PuiseuxScalar] = {}
         for d, coeff in vec.items():
             for e, c in self.bracket_on_basis(i, d).items():
-                s = out.get(e, PuiseuxScalar.zero()) + coeff * c
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+                add_term(out, e, coeff * c)
         return out
 
     def validate(self):
@@ -152,18 +146,9 @@ class LieAlgebra:
                 bij = self.bracket_on_basis(i, j)
                 for k in range(j + 1, self._dim):
                     res = self._ad_apply(i, self.bracket_on_basis(j, k))
-                    for e, c in self._ad_apply(j, self.bracket_on_basis(k, i)).items():
-                        s = res.get(e, PuiseuxScalar.zero()) + c
-                        if s:
-                            res[e] = s
-                        elif e in res:
-                            del res[e]
-                    for e, c in self._ad_apply(k, bij).items():
-                        s = res.get(e, PuiseuxScalar.zero()) + c
-                        if s:
-                            res[e] = s
-                        elif e in res:
-                            del res[e]
+                    for a, vec in ((j, self.bracket_on_basis(k, i)), (k, bij)):
+                        for e, c in self._ad_apply(a, vec).items():
+                            add_term(res, e, c)
                     if res:
                         raise JacobiViolation(i, j, k, res)
 
@@ -198,11 +183,11 @@ class LieAlgebra:
     def evaluate_at(self, eps) -> "LieAlgebra":
         """Substitute an exact rational value for eps (eps = 0 takes the limit)."""
         eps = as_fraction(eps)
-        table = {}
-        for (i, j), row in self._brackets.items():
-            new_row = {k: s.substitute(eps) for k, s in row.items()}
-            table[(i, j)] = {k: v for k, v in new_row.items() if v}
-        return LieAlgebra(self._dim, table, names=self._names)
+        table = {
+            ij: {k: s.substitute(eps) for k, s in row.items()}
+            for ij, row in self._brackets.items()
+        }
+        return LieAlgebra(self._dim, table, names=self._names, check=False)
 
     def change_basis(self, t_rows) -> "LieAlgebra":
         """Rewrite the algebra in the basis Y_a = sum_j T[a][j] X_j (T invertible)."""
@@ -221,23 +206,15 @@ class LieAlgebra:
                     if not w:
                         continue
                     for k, s in row.items():
-                        acc = vec.get(k, PuiseuxScalar.zero()) + w * s
-                        if acc:
-                            vec[k] = acc
-                        elif k in vec:
-                            del vec[k]
+                        add_term(vec, k, w * s)
                 out: dict[int, PuiseuxScalar] = {}
                 for k, s in vec.items():
                     for l in range(self._dim):
                         if tinv[k][l]:
-                            acc = out.get(l, PuiseuxScalar.zero()) + tinv[k][l] * s
-                            if acc:
-                                out[l] = acc
-                            elif l in out:
-                                del out[l]
+                            add_term(out, l, tinv[k][l] * s)
                 if out:
                     table[(a, b)] = out
-        return LieAlgebra(self._dim, table, names=self._names)
+        return LieAlgebra(self._dim, table, names=self._names, check=False)
 
     def to_json(self) -> dict:
         brackets = []
@@ -250,7 +227,7 @@ class LieAlgebra:
         return {"dim": self._dim, "names": list(self._names), "brackets": brackets}
 
     @classmethod
-    def from_json(cls, data: dict, check=True) -> "LieAlgebra":
+    def from_json(cls, data: dict) -> "LieAlgebra":
         try:
             dim = data["dim"]
             names = data.get("names")
@@ -268,13 +245,7 @@ class LieAlgebra:
             raise
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise AlgebraFormatError(f"malformed algebra description: {exc}") from exc
-        return cls(dim, table, names=names, check=check)
-
-    @classmethod
-    def load(cls, path, check=True) -> "LieAlgebra":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls.from_json(data, check=check)
+        return cls(dim, table, names=names)
 
     def __repr__(self):
         nz = sum(len(row) for row in self._brackets.values())
@@ -293,48 +264,38 @@ def _check_weights(alg: LieAlgebra, weights) -> tuple[Fraction, ...]:
     return w
 
 
+def _ad_table(alg: LieAlgebra, op: str):
+    """Dense adjoint matrices of an eps-free algebra: ad[a][e][d] = C_ad^e."""
+    _require_eps_free(alg, op)
+    n = alg.dim
+    zero = Fraction(0)
+    ad = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), c in alg.constants_fraction().items():
+        ad[i][k][j] = c
+        ad[j][k][i] = -c
+    return ad
+
+
 def derived_subalgebra_dim(alg: LieAlgebra) -> int:
     """Dimension of the span of all brackets [X_i, X_j] (exact rank)."""
-    _require_eps_free(alg, "derived_subalgebra_dim")
-    rows = []
-    for (i, j), row in alg.brackets().items():
-        rows.append([row.get(k, PuiseuxScalar.zero()).constant_value() for k in range(alg.dim)])
+    ad = _ad_table(alg, "derived_subalgebra_dim")
+    n = alg.dim
+    rows = [[ad[i][k][j] for k in range(n)] for i in range(n) for j in range(i + 1, n)]
     return linalg.matrix_rank(rows)
 
 
 def center_dim(alg: LieAlgebra) -> int:
     """Dimension of {x : [x, y] = 0 for all y} (exact nullity)."""
-    _require_eps_free(alg, "center_dim")
-    const = alg.constants_fraction()
-    rows = []
-    for b in range(alg.dim):
-        for e in range(alg.dim):
-            row = []
-            for a in range(alg.dim):
-                if a < b:
-                    row.append(const.get((a, b, e), Fraction(0)))
-                elif a > b:
-                    row.append(-const.get((b, a, e), Fraction(0)))
-                else:
-                    row.append(Fraction(0))
-            rows.append(row)
-    return alg.dim - linalg.matrix_rank(rows)
+    ad = _ad_table(alg, "center_dim")
+    n = alg.dim
+    rows = [[ad[a][e][b] for a in range(n)] for b in range(n) for e in range(n)]
+    return n - linalg.matrix_rank(rows)
 
 
 def killing_form(alg: LieAlgebra):
     """B(X_a, X_b) = trace(ad_a . ad_b) as an exact rational matrix."""
-    _require_eps_free(alg, "killing_form")
-    const = alg.constants_fraction()
-
-    def c(i, j, k):
-        if i < j:
-            return const.get((i, j, k), Fraction(0))
-        if i > j:
-            return -const.get((j, i, k), Fraction(0))
-        return Fraction(0)
-
+    ad = _ad_table(alg, "killing_form")
     n = alg.dim
-    ad = [[[c(a, d, e) for d in range(n)] for e in range(n)] for a in range(n)]
     form = [[Fraction(0)] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
@@ -347,13 +308,15 @@ def classify3(alg: LieAlgebra) -> str:
     """Classify a 3-dimensional real algebra by exact structural invariants.
 
     Decision tree on (derived dimension, center dimension, Killing inertia):
-    abelian3, heisenberg, e2 / e11 (rank-1 Killing, negative / positive),
-    so3 / so21 (definite / indefinite Killing), else "other".  Invariant
-    under any exact change of basis.
+    abelian3, heisenberg, e2 / e11 (two-dimensional derived algebra, every
+    tr ad X_a zero, rank-1 Killing negative / positive), so3 / so21
+    (definite / indefinite Killing), else "other" -- the non-unimodular
+    Bianchi types (III, IV, V, VI_h, VII_h with h != 0) included.
+    Invariant under any exact change of basis.
     """
     if alg.dim != 3:
         raise WrongDimension(f"classify3 needs dimension 3, got {alg.dim}")
-    _require_eps_free(alg, "classify3")
+    ad = _ad_table(alg, "classify3")
     d = derived_subalgebra_dim(alg)
     if d == 0:
         return "abelian3"
@@ -364,6 +327,8 @@ def classify3(alg: LieAlgebra) -> str:
             return "heisenberg"
         return "other"
     if d == 2:
+        if any(sum(ad[a][e][e] for e in range(3)) for a in range(3)):
+            return "other"
         if sig == (0, 1, 2):
             return "e2"
         if sig == (1, 0, 2):
@@ -407,7 +372,7 @@ def contract(alg: LieAlgebra, weights) -> LieAlgebra:
             table[(i, j)] = kept
     if violations:
         raise ContractionUndefined(violations)
-    return LieAlgebra(alg.dim, table, names=alg.names)
+    return LieAlgebra(alg.dim, table, names=alg.names, check=False)
 
 
 def rescale_basis(alg: LieAlgebra, weights) -> LieAlgebra:
@@ -424,7 +389,7 @@ def rescale_basis(alg: LieAlgebra, weights) -> LieAlgebra:
         table[(i, j)] = {
             k: s * PuiseuxScalar.monomial(1, w[k] - w[i] - w[j]) for k, s in row.items()
         }
-    return LieAlgebra(alg.dim, table, names=alg.names)
+    return LieAlgebra(alg.dim, table, names=alg.names, check=False)
 
 
 def algebra_from_matrices(mats: Sequence, names=None) -> LieAlgebra:
@@ -452,8 +417,8 @@ def algebra_from_matrices(mats: Sequence, names=None) -> LieAlgebra:
             flat = [comm[r][c] for r in range(d) for c in range(d)]
             x = linalg.solve_linear(basis_cols, flat)
             if x is None:
-                raise NotClosed(i, j)
+                raise NotInSpan(i, j)
             row = {k: PuiseuxScalar.constant(v) for k, v in enumerate(x) if v}
             if row:
                 table[(i, j)] = row
-    return LieAlgebra(n, table, names=names)
+    return LieAlgebra(n, table, names=names, check=False)

@@ -45,6 +45,15 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def add_term(acc: dict, key, value) -> None:
+    """acc[key] += value in a sparse map: a key whose sum is exactly zero is dropped."""
+    total = acc[key] + value if key in acc else value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
 def _nth_root_exact(value: Fraction, n: int) -> Fraction:
     """Exact n-th root of a rational, or raise InexactPower."""
     if n <= 0:
@@ -88,12 +97,7 @@ class PuiseuxScalar:
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for q, c in items:
-                q = as_fraction(q)
-                c = merged.get(q, Fraction(0)) + as_fraction(c)
-                if c:
-                    merged[q] = c
-                elif q in merged:
-                    del merged[q]
+                add_term(merged, as_fraction(q), as_fraction(c))
         object.__setattr__(self, "_terms", tuple(sorted(merged.items())))
 
     def __setattr__(self, name, value):
@@ -230,16 +234,6 @@ class PuiseuxScalar:
     @classmethod
     def from_json(cls, data: Iterable) -> "PuiseuxScalar":
         return cls([(Fraction(t["q"]), Fraction(t["c"])) for t in data])
-
-
-def scalar_limit_at_zero(s: PuiseuxScalar) -> Fraction:
-    """Limit of s for eps -> 0+; NegativeExponent if any exponent is < 0."""
-    return s.limit_at_zero()
-
-
-def scalar_eval(s: PuiseuxScalar, eps: float) -> float:
-    """Double-precision value of s at eps > 0."""
-    return s.eval(eps)
 
 
 def signature(form) -> tuple[int, int, int]:

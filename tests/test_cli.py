@@ -177,3 +177,28 @@ def test_verify_kepler_failure_exit_code(capsys):
 def test_verify_kepler_rejects_bad_mass(capsys):
     code, _, err = run(capsys, "verify-kepler", "--m", "0", "--samples", "5")
     assert code == 64 and "mass" in err
+
+
+def _rejected(code, out, err):
+    """Exit 64 with a one-line message, no traceback and no PASS."""
+    lines = err.strip().splitlines()
+    return (code == 64 and len(lines) == 1 and not lines[0].startswith("Traceback")
+            and "PASS" not in out)
+
+
+def test_verify_kepler_rejects_non_finite_params_and_zero_samples(capsys):
+    assert _rejected(*run(capsys, "verify-kepler", "--beta", "nan", "--samples", "5"))
+    assert _rejected(*run(capsys, "verify-kepler", "--m", "inf", "--samples", "5"))
+    code, out, err = run(capsys, "verify-kepler", "--samples", "0")
+    assert _rejected(code, out, err) and "samples" in err
+
+
+def test_unparsable_eps_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "abelian.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": []}))
+    for command in (["classify", str(path)], ["quotient", "l1.json"]):
+        for eps in ("abc", "1/0", "1,2"):
+            code, out, err = run(capsys, *command, "--eps", eps)
+            assert _rejected(code, out, err) and "eps" in err, (command, eps)
+    code, out, _ = run(capsys, "quotient", "l2.json", "--eps=-1/4")
+    assert code == 0 and "(1/16)*S" in out

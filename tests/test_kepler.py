@@ -11,7 +11,6 @@ from loopalg import (
     cross_check_loop_spec,
     evaluate,
     identity_suite,
-    observable,
     poisson,
     poisson_fn,
     sample_points,
@@ -42,11 +41,12 @@ def test_eval_examples():
 
 
 def test_observable_wrapper():
-    obs = observable("S")
+    # evaluate resolves a name or takes a raw closure over (r, phi, pr, pphi)
     x = PhasePoint(1.3, 0.4, -0.2, 1.1)
-    assert obs(PARAMS, x) == evaluate("S", PARAMS, x)
-    with pytest.raises(KeyError):
-        observable("Q")
+    s_closure = lambda r, phi, pr, pphi: evaluate("S", PARAMS, PhasePoint(r, phi, pr, pphi))
+    assert evaluate(s_closure, PARAMS, x) == evaluate("S", PARAMS, x)
+    with pytest.raises(KeyError, match="unknown observable"):
+        evaluate("Q", PARAMS, x)
 
 
 def test_deformed_runge_lenz_reduces_to_plain():
@@ -188,3 +188,25 @@ def test_report_json_shape():
     assert data["all_pass"] is True
     assert {"name", "samples", "max_rel_residual", "pass"} <= set(data["identities"][0])
     assert data["params"] == {"m": 1.0, "alpha": 1.0, "beta": 0.5}
+
+
+def test_nan_residual_fails_the_identity():
+    # N1 bound to a realization that is NaN for r > 2.5: every identity that
+    # touches such a point must fail with a NaN worst residual, never pass
+    def n1(r, phi, pr, pphi):
+        return math.nan if r > 2.5 else evaluate("N1", PARAMS, PhasePoint(r, phi, pr, pphi))
+
+    binding = {"M2": "M2", "S": "S", "N1": n1}
+    rep = cross_check_loop_spec(bundled_spec("l1"), binding, PARAMS, samples=30, seed=1)
+    failing = [res for res in rep.identities if not res.passed]
+    assert not rep.all_pass and failing
+    assert all(math.isnan(res.max_rel_residual) for res in failing)
+    with pytest.raises(IdentityFailed):
+        cross_check_loop_spec(bundled_spec("l1"), binding, PARAMS, samples=30, seed=1,
+                              fail_fast=True)
+
+
+def test_params_must_be_finite():
+    for bad in ({"m": math.inf}, {"alpha": math.nan}, {"beta": -math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            KeplerParams(**bad)

@@ -22,7 +22,7 @@ from loopalg import (
     killing_form,
     rescale_basis,
 )
-from loopalg.liealg import AlgebraFormatError, NotClosed
+from loopalg.liealg import AlgebraFormatError, NotInSpan
 
 P = PuiseuxScalar
 
@@ -186,6 +186,36 @@ def test_classify3_basis_change_invariance_smoke():
             assert classify3(base.change_basis(random_invertible(rng, 3))) == label
 
 
+# Non-unimodular algebras with a two-dimensional derived algebra: their Killing
+# inertia matches e11 / e2, but some tr ad X_a is nonzero.
+NON_UNIMODULAR = {
+    # Bianchi V: [X2,X0] = X0, [X2,X1] = X1
+    "bianchi_v": {(0, 2): {0: -1}, (1, 2): {1: -1}},
+    # Bianchi VII_h, h = 1/2: ad X2 = [[h, -1], [1, h]] on span(X0, X1)
+    "bianchi_vii_half": {(0, 2): {0: Fraction(-1, 2), 1: -1}, (1, 2): {0: 1, 1: Fraction(-1, 2)}},
+}
+
+
+def random_rational_basis(rng):
+    from loopalg.linalg import invert_matrix
+
+    while True:
+        t = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(3)]
+             for _ in range(3)]
+        if invert_matrix(t) is not None:
+            return t
+
+
+def test_classify3_rejects_non_unimodular_under_rational_basis_changes():
+    rng = random.Random(404)
+    cases = [(LieAlgebra(3, table), "other") for table in NON_UNIMODULAR.values()]
+    cases += [(build(), label) for label, build in CLASSIFIED.items()]
+    for alg, label in cases:
+        assert classify3(alg) == label
+        for _ in range(50):
+            assert classify3(alg.change_basis(random_rational_basis(rng))) == label
+
+
 # -- contraction -----------------------------------------------------------------
 
 def test_contract_identity_and_abelianization():
@@ -342,7 +372,7 @@ def test_rotation_boost_algebra():
 
 
 def test_not_closed_and_dependent():
-    with pytest.raises(NotClosed) as err:
+    with pytest.raises(NotInSpan) as err:
         algebra_from_matrices([_e(0, 0, 2), _e(0, 1, 2), _e(1, 0, 2)])
     assert err.value.pair == (1, 2)
     with pytest.raises(LinearlyDependent):

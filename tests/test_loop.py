@@ -68,6 +68,59 @@ def test_jacobi_enforced_at_load():
         )
 
 
+def _reference_bracket(table, a, b):
+    """[a, b] of sparse {(generator, level): coeff} maps, from the raw table."""
+    out = {}
+    for (i, ni), ci in a.items():
+        for (j, nj), cj in b.items():
+            if i == j:
+                continue
+            sign = 1 if i < j else -1
+            for k, c, hpow in table.get((min(i, j), max(i, j)), ()):
+                key = (k, ni + nj + hpow)
+                out[key] = out.get(key, 0) + sign * ci * cj * c
+    return out
+
+
+def _reference_jacobi_fails(n, table):
+    for i, j, k in itertools.combinations(range(n), 3):
+        x, y, z = ({(g, 0): Fraction(1)} for g in (i, j, k))
+        total = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            for key, v in _reference_bracket(table, a, _reference_bracket(table, b, c)).items():
+                total[key] = total.get(key, 0) + v
+        if any(total.values()):
+            return True
+    return False
+
+
+def test_jacobi_check_matches_reference_on_random_tables():
+    rng = random.Random(1729)
+    outcomes = set()
+    for _ in range(150):
+        s = rng.choice((1, 2))
+        n = rng.choice((3, 4))
+        grades = [rng.randint(0, 3) for _ in range(n)]
+        table = {}
+        for i, j in itertools.combinations(range(n), 2):
+            terms = []
+            for k in range(n):
+                lift = grades[i] + grades[j] - grades[k]
+                if lift >= 0 and lift % s == 0 and rng.random() < 0.4:
+                    terms.append((k, Fraction(rng.randint(-2, 2), rng.choice((1, 2))), lift // s))
+            if terms:
+                table[(i, j)] = terms
+        fails = _reference_jacobi_fails(n, table)
+        outcomes.add(fails)
+        gens = [(f"G{g}", grade) for g, grade in enumerate(grades)]
+        if fails:
+            with pytest.raises(SpecFormatError, match="Jacobi"):
+                LoopSpec(s, gens, table)
+        else:
+            LoopSpec(s, gens, table)
+    assert outcomes == {True, False}
+
+
 def test_selection_field_round_trip(h2):
     data = h2.to_json()
     data["selection"] = [1, 1, 0]
@@ -308,6 +361,24 @@ def test_embedding_bracket_mismatch(h2):
     # swapping A1 and A2 preserves grades but flips bracket signs
     with pytest.raises(BracketMismatch):
         embedding_check(h2, h2, [(0, 0), (2, 0), (1, 0)])
+    for window in (0, 8):
+        with pytest.raises(BracketMismatch, match=r"\(L,A1\) at levels \(0,0\)"):
+            embedding_check(h2, h2, [(0, 0), (2, 0), (1, 0)], window=window)
+
+
+def test_embedding_reports_per_window(h2, l1, l2):
+    # the window bounds only the codimension bookkeeping
+    expected = {
+        "l1": (l1, F1_MAP, {("L", 0), ("A1", 0)}),
+        "l2": (l2, F2_MAP, {("L", 0), ("A1", 0), ("A2", 0)}),
+        "h2": (h2, [(0, 0), (1, 0), (2, 0)], set()),
+    }
+    for sub, gen_map, missing in expected.values():
+        for window in (0, 4, 8):
+            report = embedding_check(sub, h2, gen_map, window=window)
+            assert report.window == window
+            assert set(report.missing) == missing
+            assert report.codimension == len(missing)
 
 
 def test_embedding_window_override(h2, l1, monkeypatch):

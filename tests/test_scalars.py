@@ -9,8 +9,6 @@ from loopalg import (
     NonPositiveEval,
     NotSymmetric,
     PuiseuxScalar,
-    scalar_eval,
-    scalar_limit_at_zero,
     signature,
 )
 
@@ -18,25 +16,25 @@ P = PuiseuxScalar
 
 
 def test_limit_examples():
-    assert scalar_limit_at_zero(P.monomial(1, 2)) == 0
-    assert scalar_limit_at_zero(P.constant(5)) == 5
+    assert P.monomial(1, 2).limit_at_zero() == 0
+    assert P.constant(5).limit_at_zero() == 5
     with pytest.raises(NegativeExponent):
-        scalar_limit_at_zero(P.monomial(1, Fraction(-1, 2)))
+        P.monomial(1, Fraction(-1, 2)).limit_at_zero()
 
 
 def test_limit_mixed_terms():
     s = P.monomial(3, 0) + P.monomial(7, Fraction(1, 2)) + P.monomial(-2, 4)
-    assert scalar_limit_at_zero(s) == 3
-    assert scalar_limit_at_zero(P.zero()) == 0
+    assert s.limit_at_zero() == 3
+    assert P.zero().limit_at_zero() == 0
 
 
 def test_eval_examples():
-    assert scalar_eval(P.monomial(1, 1), 4) == pytest.approx(4.0)
-    assert scalar_eval(P.monomial(1, Fraction(1, 2)), 4) == pytest.approx(2.0)
-    assert scalar_eval(P.monomial(1, 2) + P.constant(3), 2) == pytest.approx(7.0)
+    assert P.monomial(1, 1).eval(4) == pytest.approx(4.0)
+    assert P.monomial(1, Fraction(1, 2)).eval(4) == pytest.approx(2.0)
+    assert (P.monomial(1, 2) + P.constant(3)).eval(2) == pytest.approx(7.0)
     for bad in (0.0, -1.0):
         with pytest.raises(NonPositiveEval):
-            scalar_eval(P.one(), bad)
+            P.one().eval(bad)
 
 
 def test_eval_converges_to_limit():
@@ -48,8 +46,8 @@ def test_eval_converges_to_limit():
             for _ in range(rng.randint(1, 4))
         ]
         s = P(terms)
-        lim = float(scalar_limit_at_zero(s))
-        diffs = [abs(scalar_eval(s, 10.0 ** -k) - lim) for k in range(1, 7)]
+        lim = float(s.limit_at_zero())
+        diffs = [abs(s.eval(10.0 ** -k) - lim) for k in range(1, 7)]
         assert diffs[-1] <= diffs[0] + 1e-12
         positive = [(q, c) for q, c in s.terms if q > 0]
         bound = sum(abs(float(c)) * (1e-6) ** float(q) for q, c in positive)
