@@ -2,7 +2,8 @@
 the Kepler oracle, and the three built-in demonstrations.
 
 Exit codes: 0 success, 1 validation/classification failure, 2 numerical
-(oracle) failure, 64 usage error or malformed input file.
+(oracle) failure or floating-point overflow, 64 usage error or malformed
+input file.
 """
 
 from __future__ import annotations
@@ -418,6 +419,9 @@ def main(argv=None) -> int:
         return FAIL_VALIDATION
     except (kepler.BoundaryTooClose, kepler.IdentityFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return FAIL_NUMERIC
+    except OverflowError as exc:  # finite input whose double arithmetic overflows
+        print(f"error: floating-point overflow: {exc}", file=sys.stderr)
         return FAIL_NUMERIC
 
 

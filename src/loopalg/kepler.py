@@ -31,7 +31,9 @@ Brackets are evaluated by central finite differences,
 
 with per-coordinate step  step * max(1, |coordinate|); the default step
 1e-6 puts the second-order truncation error far below the default relative
-tolerance of 1e-5.
+tolerance of 1e-5.  The identity suite and the loop-spec cross-check share
+one relation form and one sample loop: each observable's gradient is taken
+once per sample point and shared by every identity that uses it.
 """
 
 from __future__ import annotations
@@ -189,8 +191,7 @@ def poisson(f, g, params: KeplerParams, point: PhasePoint, step: float = 1e-6) -
     """{f, g} at one phase-space point via central finite differences."""
     x = point.astuple() if isinstance(point, PhasePoint) else tuple(point)
     _check_boundary(x, step)
-    fr, gr = _resolve(f, params), _resolve(g, params)
-    return _bracket_from_partials(_partials(fr, x, step), _partials(gr, x, step))
+    return poisson_fn(f, g, params, step)(*x)
 
 
 def poisson_fn(f, g, params: KeplerParams, step: float = 1e-6):
@@ -269,22 +270,34 @@ class OracleReport:
         return out
 
 
-def _run_identities(identities, points, tol, step, fail_fast):
-    """identities: (name, f_raw, g_raw, rhs_raw) quadruples over raw closures."""
-    results = []
-    for name, fr, gr, rhs in identities:
-        worst = 0.0
-        for x in points:
-            lhs = _bracket_from_partials(_partials(fr, x, step), _partials(gr, x, step))
-            want = rhs(*x)
-            scale = max(1.0, abs(lhs), abs(want), abs(fr(*x)), abs(gr(*x)))
+def _run_identities(identities, h, points, tol, step, fail_fast):
+    """Worst relative residual of each (name, f, g, terms) row over points.
+
+    A row over raw closures states {f, g} = sum float(c) * h(x)**p * X(x)
+    over its (c, p, X) terms.  The loop is point-major: at each point every
+    distinct operand's gradient and every distinct closure's value is taken
+    once and shared by all rows, and fail_fast raises at the first failing
+    sample (the first failing row there).
+    """
+    operands = {fn: None for _, f, g, _ in identities for fn in (f, g)}
+    closures = {h: None, **operands}
+    closures.update((fn, None) for *_, terms in identities for _, _, fn in terms)
+    worst = [0.0] * len(identities)
+    for x in points:
+        grad = {fn: _partials(fn, x, step) for fn in operands}
+        val = {fn: fn(*x) for fn in closures}
+        hv = val[h]
+        for i, (name, f, g, terms) in enumerate(identities):
+            lhs = _bracket_from_partials(grad[f], grad[g])
+            want = sum(float(c) * hv ** p * val[fn] for c, p, fn in terms)
+            scale = max(1.0, abs(lhs), abs(want), abs(val[f]), abs(val[g]))
             res = abs(lhs - want) / scale
-            if res > worst or math.isnan(res):  # once NaN, worst stays NaN
-                worst = res
+            if res > worst[i] or math.isnan(res):  # once NaN, worst stays NaN
+                worst[i] = res
             if fail_fast and not res <= tol:
                 raise IdentityFailed(name, x, res)
-        results.append(IdentityResult(name, len(points), worst, worst <= tol))
-    return results
+    return [IdentityResult(row[0], len(points), res, res <= tol)
+            for row, res in zip(identities, worst)]
 
 
 def identity_suite(
@@ -301,86 +314,50 @@ def identity_suite(
     momentum / Runge-Lenz relations, the deformed relations through S, N1,
     N2, and both closed algebras on (M2, S, N1) and (N1, N2, S).  Also
     resolves the radial-coefficient ambiguity in M by testing the m*beta
-    variant's conservation alongside the implemented m*alpha one.
+    variant's conservation alongside the implemented m*alpha one.  With
+    fail_fast, IdentityFailed is raised at the first failing sample; the
+    m*beta variant, which fails by design unless alpha == beta, never raises.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     F = _bind_all(params)
     m, alpha, beta = params.m, params.alpha, params.beta
-    zero = lambda r, phi, pr, pphi: 0.0
-
-    identities = []
-    conserved = ["M1", "M2", "S", "N1", "N2"] + (["L"] if beta == 0 else [])
-    for x_name in conserved:
-        identities.append((f"{{H,{x_name}}}=0", F["H"], F[x_name], zero))
-    identities += [
-        ("{L,A1}=A2", F["L"], F["A1"], F["A2"]),
-        ("{A2,L}=A1", F["A2"], F["L"], F["A1"]),
-        (
-            "{A1,A2}=h0*L",
-            F["A1"],
-            F["A2"],
-            lambda r, phi, pr, pphi: -2 * m * F["H0"](r, phi, pr, pphi) * pphi,
-        ),
-        ("{M1,M2}=S", F["M1"], F["M2"], F["S"]),
-        (
-            "{S,M1}=h*M2",
-            F["S"],
-            F["M1"],
-            lambda r, phi, pr, pphi: F["h"](r, phi, pr, pphi) * F["M2"](r, phi, pr, pphi),
-        ),
-        ("{M2,S}=h*M1-(m*beta)^2/2", F["M2"], F["S"], F["N1"]),
-        (
-            "{N1,M2}=h*S",
-            F["N1"],
-            F["M2"],
-            lambda r, phi, pr, pphi: F["h"](r, phi, pr, pphi) * F["S"](r, phi, pr, pphi),
-        ),
-        (
-            "{S,N1}=h^2*M2",
-            F["S"],
-            F["N1"],
-            lambda r, phi, pr, pphi: F["h"](r, phi, pr, pphi) ** 2 * F["M2"](r, phi, pr, pphi),
-        ),
-        (
-            "{N1,N2}=h^2*S",
-            F["N1"],
-            F["N2"],
-            lambda r, phi, pr, pphi: F["h"](r, phi, pr, pphi) ** 2 * F["S"](r, phi, pr, pphi),
-        ),
-        (
-            "{N2,S}=h*N1",
-            F["N2"],
-            F["S"],
-            lambda r, phi, pr, pphi: F["h"](r, phi, pr, pphi) * F["N1"](r, phi, pr, pphi),
-        ),
-        (
-            "{S,N1}=h*N2",
-            F["S"],
-            F["N1"],
-            lambda r, phi, pr, pphi: F["h"](r, phi, pr, pphi) * F["N2"](r, phi, pr, pphi),
-        ),
-    ]
-
-    points = sample_points(samples, seed)
-    results = _run_identities(identities, points, tol, step, fail_fast)
-
-    # radial-coefficient disambiguation: conservation of the m*beta variant
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
 
-    def M1_beta_variant(r, phi, pr, pphi):
+    def h0_L(r, phi, pr, pphi):  # {A1, A2} is graded by the unperturbed h0
+        return -2 * m * F["H0"](r, phi, pr, pphi) * pphi
+
+    def M1_beta_variant(r, phi, pr, pphi):  # M1 with an m*beta radial term
         return (pphi * pphi / r - m * beta) * cos(phi) + (
             pr * pphi + m * beta * sqrt(r) * sin(phi / 2)
         ) * sin(phi)
 
+    conserved = ("M1", "M2", "S", "N1", "N2") + (("L",) if beta == 0 else ())
+    table = [(f"{{H,{x}}}=0", "H", x, ()) for x in conserved] + [
+        ("{L,A1}=A2", "L", "A1", [(1, 0, "A2")]),
+        ("{A2,L}=A1", "A2", "L", [(1, 0, "A1")]),
+        ("{A1,A2}=h0*L", "A1", "A2", [(1, 0, h0_L)]),
+        ("{M1,M2}=S", "M1", "M2", [(1, 0, "S")]),
+        ("{S,M1}=h*M2", "S", "M1", [(1, 1, "M2")]),
+        ("{M2,S}=h*M1-(m*beta)^2/2", "M2", "S", [(1, 0, "N1")]),
+        ("{N1,M2}=h*S", "N1", "M2", [(1, 1, "S")]),
+        ("{S,N1}=h^2*M2", "S", "N1", [(1, 2, "M2")]),
+        ("{N1,N2}=h^2*S", "N1", "N2", [(1, 2, "S")]),
+        ("{N2,S}=h*N1", "N2", "S", [(1, 1, "N1")]),
+        ("{S,N1}=h*N2", "S", "N1", [(1, 1, "N2")]),
+    ]
+    bind = functools.partial(_resolve, params=params)
+    rows = [(name, bind(f), bind(g), [(c, p, bind(x)) for c, p, x in terms])
+            for name, f, g, terms in table]
+    points = sample_points(samples, seed)
+    results = _run_identities(rows, F["h"], points, tol, step, fail_fast)
     variant = _run_identities(
-        [("{H,M1 with m*beta radial term}=0", F["H"], M1_beta_variant, zero)],
-        points, tol, step, fail_fast=False,
+        [("{H,M1 with m*beta radial term}=0", F["H"], M1_beta_variant, ())],
+        F["h"], points, tol, step, fail_fast=False,
     )[0]
-    chosen = next(res for res in results if res.name == "{H,M1}=0")
     radial_term = {
         "radial_coefficient": "m*alpha",
-        "max_rel_residual": chosen.max_rel_residual,
+        "max_rel_residual": results[0].max_rel_residual,  # {H,M1}=0
         "m_beta_variant_max_rel_residual": variant.max_rel_residual,
         "variant_conserved": variant.passed,
         "note": "variants coincide when alpha == beta" if alpha == beta else
@@ -405,27 +382,14 @@ def cross_check_loop_spec(
     closure); each {X_i, X_j} = sum c h**p X_k becomes the numerical check
     poisson(bind i, bind j) = sum c * h(x)**p * bind k (x).
     """
-    F = _bind_all(params)
-    h = F["h"]
-    bound = {name: _resolve(binding[name], params) for name in spec.names}
-
-    identities = []
+    names = spec.names
+    bound = {name: _resolve(binding[name], params) for name in names}
+    rows = []
     for (i, j), terms in sorted(spec.base_brackets().items()):
-        ni, nj = spec.names[i], spec.names[j]
-
-        def rhs(r, phi, pr, pphi, terms=terms):
-            hv = h(r, phi, pr, pphi)
-            return sum(
-                float(c) * hv ** p * bound[spec.names[k]](r, phi, pr, pphi)
-                for k, c, p in terms
-            )
-
-        label = " + ".join(
-            f"{c}*h^{p}*{spec.names[k]}" if p else f"{c}*{spec.names[k]}"
-            for k, c, p in terms
-        )
-        identities.append((f"{{{ni},{nj}}}={label}", bound[ni], bound[nj], rhs))
-
+        label = " + ".join(f"{c}*h^{p}*{names[k]}" if p else f"{c}*{names[k]}"
+                           for k, c, p in terms)
+        rows.append((f"{{{names[i]},{names[j]}}}={label}", bound[names[i]], bound[names[j]],
+                     [(c, p, bound[names[k]]) for k, c, p in terms]))
     points = sample_points(samples, seed)
-    results = _run_identities(identities, points, tol, step, fail_fast)
+    results = _run_identities(rows, _bind_all(params)["h"], points, tol, step, fail_fast)
     return OracleReport(params, samples, seed, tol, tuple(results))

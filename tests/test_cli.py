@@ -202,3 +202,13 @@ def test_unparsable_eps_is_a_usage_error(tmp_path, capsys):
             assert _rejected(code, out, err) and "eps" in err, (command, eps)
     code, out, _ = run(capsys, "quotient", "l2.json", "--eps=-1/4")
     assert code == 0 and "(1/16)*S" in out
+
+
+def test_verify_kepler_overflow_is_a_numerical_failure(capsys):
+    # finite, well-formed parameters whose double arithmetic overflows in the
+    # oracle ((m * beta) ** 2 in N1): exit 2 with one line, never a traceback
+    for argv in (["--beta", "1e300"], ["--m", "1e200"]):
+        code, out, err = run(capsys, "verify-kepler", *argv, "--samples", "2")
+        lines = err.strip().splitlines()
+        assert code == 2 and len(lines) == 1 and "overflow" in lines[0], argv
+        assert "PASS" not in out

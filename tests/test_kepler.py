@@ -210,3 +210,94 @@ def test_params_must_be_finite():
     for bad in ({"m": math.inf}, {"alpha": math.nan}, {"beta": -math.inf}):
         with pytest.raises(ValueError, match="finite"):
             KeplerParams(**bad)
+
+
+def _worst(residuals):
+    worst = 0.0
+    for res in residuals:
+        if res > worst or math.isnan(res):
+            worst = res
+    return worst
+
+
+def _reference_residual(f, g, rhs, params, pts):
+    """Worst relative residual of {f, g} = rhs(pt), one poisson() per point."""
+    out = []
+    for pt in pts:
+        lhs, want = poisson(f, g, params, pt), rhs(pt)
+        scale = max(1.0, abs(lhs), abs(want), abs(evaluate(f, params, pt)),
+                    abs(evaluate(g, params, pt)))
+        out.append(abs(lhs - want) / scale)
+    return _worst(out)
+
+
+def test_residuals_match_pointwise_reference():
+    # every reported residual, recomputed point by point from poisson() and
+    # evaluate() with each relation's right-hand side written out in floats
+    for params in (PARAMS, PURE):
+        m, beta = params.m, params.beta
+        pts = points(25, 7)
+
+        def ev(name, pt):
+            return evaluate(name, params, pt)
+
+        def m1_beta_variant(r, phi, pr, pphi):
+            return (pphi * pphi / r - m * beta) * math.cos(phi) + (
+                pr * pphi + m * beta * math.sqrt(r) * math.sin(phi / 2)
+            ) * math.sin(phi)
+
+        conserved = ["M1", "M2", "S", "N1", "N2"] + (["L"] if beta == 0 else [])
+        relations = [(f"{{H,{x}}}=0", "H", x, lambda pt: 0.0) for x in conserved] + [
+            ("{L,A1}=A2", "L", "A1", lambda pt: ev("A2", pt)),
+            ("{A2,L}=A1", "A2", "L", lambda pt: ev("A1", pt)),
+            ("{A1,A2}=h0*L", "A1", "A2", lambda pt: -2 * m * ev("H0", pt) * pt.pphi),
+            ("{M1,M2}=S", "M1", "M2", lambda pt: ev("S", pt)),
+            ("{S,M1}=h*M2", "S", "M1", lambda pt: ev("h", pt) * ev("M2", pt)),
+            ("{M2,S}=h*M1-(m*beta)^2/2", "M2", "S", lambda pt: ev("N1", pt)),
+            ("{N1,M2}=h*S", "N1", "M2", lambda pt: ev("h", pt) * ev("S", pt)),
+            ("{S,N1}=h^2*M2", "S", "N1", lambda pt: ev("h", pt) ** 2 * ev("M2", pt)),
+            ("{N1,N2}=h^2*S", "N1", "N2", lambda pt: ev("h", pt) ** 2 * ev("S", pt)),
+            ("{N2,S}=h*N1", "N2", "S", lambda pt: ev("h", pt) * ev("N1", pt)),
+            ("{S,N1}=h*N2", "S", "N1", lambda pt: ev("h", pt) * ev("N2", pt)),
+        ]
+        report = identity_suite(params, samples=25, seed=7)
+        assert [res.name for res in report.identities] == [rel[0] for rel in relations]
+        for res, (name, f, g, rhs) in zip(report.identities, relations):
+            assert res.max_rel_residual == _reference_residual(f, g, rhs, params, pts), name
+        variant = _reference_residual("H", m1_beta_variant, lambda pt: 0.0, params, pts)
+        assert report.radial_term["m_beta_variant_max_rel_residual"] == variant
+        assert report.radial_term["max_rel_residual"] == report.identities[0].max_rel_residual
+
+    for spec_name, binding, params in (
+        ("h2", {"L": "L", "A1": "A1", "A2": "A2"}, PURE),
+        ("l1", {"M2": "M2", "S": "S", "N1": "N1"}, PARAMS),
+        ("l2", {"N1": "N1", "N2": "N2", "S": "S"}, PARAMS),
+    ):
+        spec = bundled_spec(spec_name)
+        rep = cross_check_loop_spec(spec, binding, params, samples=25, seed=7)
+        brackets = sorted(spec.base_brackets().items())
+        assert len(rep.identities) == len(brackets)
+        for res, ((i, j), terms) in zip(rep.identities, brackets):
+            def rhs(pt, terms=terms):
+                h = evaluate("h", params, pt)
+                return sum(float(c) * h ** p * evaluate(binding[spec.names[k]], params, pt)
+                           for k, c, p in terms)
+
+            f, g = binding[spec.names[i]], binding[spec.names[j]]
+            assert res.max_rel_residual == _reference_residual(f, g, rhs, params, points(25, 7))
+
+
+def test_fail_fast_passing_suite_matches_plain_report():
+    # the m*beta variant fails by design when alpha != beta; it must not raise
+    params = KeplerParams(2.0, 0.5, 0.75)
+    fast = identity_suite(params, samples=50, seed=3, fail_fast=True)
+    assert not fast.radial_term["variant_conserved"]
+    assert fast.to_json() == identity_suite(params, samples=50, seed=3).to_json()
+
+
+def test_fail_fast_raises_at_first_failing_sample():
+    with pytest.raises(IdentityFailed) as info:
+        cross_check_loop_spec(bundled_spec("l1"), {"M2": "M2", "S": "S", "N1": "N2"}, PARAMS,
+                              samples=30, seed=1, fail_fast=True)
+    assert info.value.point == sample_points(30, 1)[0]
+    assert info.value.name == "{M2,S}=1*N1"
