@@ -4,10 +4,12 @@ oracle for the perturbed 2-D Kepler system."""
 
 from .scalars import (
     InexactPower,
+    InputError,
     NegativeExponent,
     NonPositiveEval,
     NotSymmetric,
     PuiseuxScalar,
+    Rejected,
     signature,
 )
 from .liealg import (

@@ -1,9 +1,13 @@
 """Command-line front end: validation, classification, quotients, contractions,
 the Kepler oracle, and the three built-in demonstrations.
 
-Exit codes: 0 success, 1 validation/classification failure, 2 numerical
-(oracle) failure or floating-point overflow, 64 usage error or malformed
-input file.
+Exit codes follow the two error categories of :mod:`loopalg.scalars`: 64
+for an ``InputError`` (a usage error, a malformed input file or loop spec,
+or an option outside its domain such as ``verify-kepler --tol nan``) and 1
+for a ``Rejected`` input (well-formed, but refused by the mathematics: an
+algebra that fails Jacobi, a selection that is not closed, an undefined
+contraction).  2 is a numerical (oracle) failure or a floating-point
+overflow; 0 is success.  Every error is one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -14,22 +18,10 @@ import os
 import sys
 from fractions import Fraction
 
-from . import kepler, liealg, loop
-from .liealg import (
-    AlgebraFormatError,
-    ContractionUndefined,
-    JacobiViolation,
-    LieAlgebra,
-    LinearlyDependent,
-    SymbolicAlgebra,
-    WrongDimension,
-    algebra_from_matrices,
-    classify3,
-    contract,
-    is_classic_iw,
-)
-from .loop import LoopSpec, SpecFormatError, bundled_spec, check_selection, factor_algebra
-from .scalars import InexactPower, NegativeExponent, NonPositiveEval, NotSymmetric
+from . import kepler, linalg, loop
+from .liealg import LieAlgebra, algebra_from_matrices, classify3, contract, is_classic_iw
+from .loop import LoopSpec, bundled_spec, check_selection, factor_algebra
+from .scalars import InputError, Rejected
 
 OK, FAIL_VALIDATION, FAIL_NUMERIC, USAGE = 0, 1, 2, 64
 
@@ -39,30 +31,10 @@ EXPECTED_TABLE1 = {
     "l2": ("so3", "abelian3", "so21"),
 }
 
-_VALIDATION_ERRORS = (
-    JacobiViolation,
-    SymbolicAlgebra,
-    WrongDimension,
-    ContractionUndefined,
-    LinearlyDependent,
-    liealg.NotInSpan,
-    loop.NotClosed,
-    loop.GradeMismatch,
-    loop.BracketMismatch,
-    NegativeExponent,
-    NonPositiveEval,
-    InexactPower,
-    NotSymmetric,
-)
-
-
-class UsageError(Exception):
-    pass
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(message)
 
 
 # -- input handling ---------------------------------------------------------
@@ -76,25 +48,25 @@ def _read_json(path):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
-        raise UsageError(f"{path}: top-level JSON value must be an object")
+        raise InputError(f"{path}: top-level JSON value must be an object")
     return data
 
 
 def _load_spec(path) -> LoopSpec:
     data = _read_json(path)
     if "generators" not in data:
-        raise UsageError(f"{path} is not a loop-spec file (no 'generators' key)")
+        raise InputError(f"{path} is not a loop-spec file (no 'generators' key)")
     return LoopSpec.from_json(data)
 
 
 def _load_algebra(path) -> LieAlgebra:
     data = _read_json(path)
     if "dim" not in data:
-        raise UsageError(f"{path} is not an algebra file (no 'dim' key)")
+        raise InputError(f"{path} is not an algebra file (no 'dim' key)")
     return LieAlgebra.from_json(data)
 
 
@@ -102,7 +74,7 @@ def _parse_fractions(text, what):
     try:
         return [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
+        raise InputError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
 def _at_eps(alg: LieAlgebra, text) -> LieAlgebra:
@@ -111,7 +83,7 @@ def _at_eps(alg: LieAlgebra, text) -> LieAlgebra:
         return alg
     values = _parse_fractions(text, "eps")
     if len(values) != 1:
-        raise UsageError(f"--eps takes one rational, got {text!r}")
+        raise InputError(f"--eps takes one rational, got {text!r}")
     return alg.evaluate_at(values[0])
 
 
@@ -119,7 +91,7 @@ def _parse_ints(text, what):
     try:
         return [int(part.strip()) for part in text.split(",")]
     except ValueError as exc:
-        raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
+        raise InputError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
 def _emit(args, data, human):
@@ -192,12 +164,7 @@ def _cmd_selection_check(args):
 
 
 def _cmd_verify_kepler(args):
-    try:
-        params = kepler.KeplerParams(m=args.m, alpha=args.alpha, beta=args.beta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    params = kepler.KeplerParams(m=args.m, alpha=args.alpha, beta=args.beta)
     report = kepler.identity_suite(
         params, samples=args.samples, seed=args.seed, tol=args.tol
     )
@@ -238,47 +205,26 @@ def _cmd_demo_table1(args):
 
 
 def _lorentz_generators():
-    """4x4 rotation/boost generators: J_i cyclic, B_i = e_i4 + e_4i."""
-    def e(i, j):
-        return [[Fraction(int(r == i and c == j)) for c in range(4)] for r in range(4)]
+    """4x4 rotations J_i (cyclic), boosts B_i = E_i4 + E_4i and translations E_i4."""
+    def e(*cells):  # 1 at each (row, column) cell, 0 elsewhere
+        return [[Fraction(int((r, c) in cells)) for c in range(4)] for r in range(4)]
 
-    def minus(a, b):
-        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-    def plus(a, b):
-        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-    J = [minus(e(2, 1), e(1, 2)), minus(e(0, 2), e(2, 0)), minus(e(1, 0), e(0, 1))]
-    B = [plus(e(i, 3), e(3, i)) for i in range(3)]
-    return J + B
-
-
-def _levi_civita(i, j, k):
-    return {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-            (2, 1, 0): -1, (0, 2, 1): -1, (1, 0, 2): -1}.get((i, j, k), 0)
-
-
-def _canonical_e3() -> LieAlgebra:
-    """Euclidean algebra e(3): rotations J, abelian translations B, [J_i,B_j]=eps_ijk B_k."""
-    table = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            k = 3 - i - j
-            table[(i, j)] = {k: _levi_civita(i, j, k)}
-            table[(i, 3 + j)] = {3 + k: _levi_civita(i, j, k)}
-            table[(j, 3 + i)] = {3 + k: _levi_civita(j, i, k)}
-    names = ["J1", "J2", "J3", "B1", "B2", "B3"]
-    return LieAlgebra(6, table, names=names)
+    rotations = [linalg.mat_sub(e((k, j)), e((j, k))) for j, k in ((1, 2), (2, 0), (0, 1))]
+    return rotations, [e((i, 3), (3, i)) for i in range(3)], [e((i, 3)) for i in range(3)]
 
 
 def demo_lorentz():
-    """Contract the rotation/boost algebra so(3,1) to the Euclidean algebra e(3)."""
-    so31 = algebra_from_matrices(
-        _lorentz_generators(), names=["J1", "J2", "J3", "B1", "B2", "B3"]
-    )
+    """Contract the rotation/boost algebra so(3,1) to the Euclidean algebra e(3).
+
+    The expected e(3) comes from the same rotations and the affine
+    translations T_i = E_i4, whose commutators are [J_i, T_j] = eps_ijk T_k.
+    """
+    rotations, boosts, translations = _lorentz_generators()
+    names = ["J1", "J2", "J3", "B1", "B2", "B3"]
+    so31 = algebra_from_matrices(rotations + boosts, names=names)
     weights = (0, 0, 0, 1, 1, 1)
     contracted = contract(so31, weights)
-    expected = _canonical_e3()
+    expected = algebra_from_matrices(rotations + translations, names=names)
     boosts_abelian = all(
         not contracted.bracket_on_basis(i, j) for i in range(3, 6) for j in range(3, 6)
     )
@@ -408,20 +354,16 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except UsageError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except (SpecFormatError, AlgebraFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except _VALIDATION_ERRORS as exc:
+    except Rejected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL_VALIDATION
-    except (kepler.BoundaryTooClose, kepler.IdentityFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL_NUMERIC
-    except OverflowError as exc:  # finite input whose double arithmetic overflows
-        print(f"error: floating-point overflow: {exc}", file=sys.stderr)
+    except (kepler.BoundaryTooClose, kepler.IdentityFailed, OverflowError) as exc:
+        # an OverflowError comes from finite input whose double arithmetic overflows
+        kind = "floating-point overflow: " if isinstance(exc, OverflowError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return FAIL_NUMERIC
 
 

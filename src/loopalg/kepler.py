@@ -43,6 +43,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from .scalars import InputError
+
 _DOMAIN = {"r": (0.5, 3.0), "phi_margin": 0.2, "p": (-2.0, 2.0), "pphi_min": 0.1}
 
 OBSERVABLE_NAMES = ("H0", "H", "L", "A1", "A2", "M1", "M2", "S", "N1", "N2", "h")
@@ -73,9 +75,9 @@ class KeplerParams:
     def __post_init__(self):
         for name in ("m", "alpha", "beta"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.m <= 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
+            raise InputError(f"mass must be positive, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +91,9 @@ class PhasePoint:
 
     def __post_init__(self):
         if self.r <= 0:
-            raise ValueError(f"r must be positive, got {self.r}")
+            raise InputError(f"r must be positive, got {self.r}")
         if not -math.pi < self.phi < math.pi:
-            raise ValueError(f"phi must lie strictly inside (-pi, pi), got {self.phi}")
+            raise InputError(f"phi must lie strictly inside (-pi, pi), got {self.phi}")
 
     def astuple(self):
         return (self.r, self.phi, self.pr, self.pphi)
@@ -211,6 +213,8 @@ def poisson_fn(f, g, params: KeplerParams, step: float = 1e-6):
 
 def sample_points(samples: int, seed: int):
     """Deterministic sample of valid phase points, away from r = 0 and the cut."""
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     r_lo, r_hi = _DOMAIN["r"]
     p_lo, p_hi = _DOMAIN["p"]
@@ -270,15 +274,18 @@ class OracleReport:
         return out
 
 
-def _run_identities(identities, h, points, tol, step, fail_fast):
+def _run_identities(identities, h, points, tol, step, n_raising):
     """Worst relative residual of each (name, f, g, terms) row over points.
 
     A row over raw closures states {f, g} = sum float(c) * h(x)**p * X(x)
     over its (c, p, X) terms.  The loop is point-major: at each point every
     distinct operand's gradient and every distinct closure's value is taken
-    once and shared by all rows, and fail_fast raises at the first failing
-    sample (the first failing row there).
+    once and shared by all rows.  The first n_raising rows raise
+    IdentityFailed at the first failing sample (the first failing row there);
+    the others are only reported.
     """
+    if not 0 <= tol < math.inf:
+        raise InputError(f"tol must be finite and nonnegative, got {tol}")
     operands = {fn: None for _, f, g, _ in identities for fn in (f, g)}
     closures = {h: None, **operands}
     closures.update((fn, None) for *_, terms in identities for _, _, fn in terms)
@@ -294,7 +301,7 @@ def _run_identities(identities, h, points, tol, step, fail_fast):
             res = abs(lhs - want) / scale
             if res > worst[i] or math.isnan(res):  # once NaN, worst stays NaN
                 worst[i] = res
-            if fail_fast and not res <= tol:
+            if i < n_raising and not res <= tol:
                 raise IdentityFailed(name, x, res)
     return [IdentityResult(row[0], len(points), res, res <= tol)
             for row, res in zip(identities, worst)]
@@ -318,8 +325,6 @@ def identity_suite(
     fail_fast, IdentityFailed is raised at the first failing sample; the
     m*beta variant, which fails by design unless alpha == beta, never raises.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     F = _bind_all(params)
     m, alpha, beta = params.m, params.alpha, params.beta
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
@@ -349,12 +354,10 @@ def identity_suite(
     bind = functools.partial(_resolve, params=params)
     rows = [(name, bind(f), bind(g), [(c, p, bind(x)) for c, p, x in terms])
             for name, f, g, terms in table]
-    points = sample_points(samples, seed)
-    results = _run_identities(rows, F["h"], points, tol, step, fail_fast)
-    variant = _run_identities(
-        [("{H,M1 with m*beta radial term}=0", F["H"], M1_beta_variant, ())],
-        F["h"], points, tol, step, fail_fast=False,
-    )[0]
+    variant_row = ("{H,M1 with m*beta radial term}=0", F["H"], M1_beta_variant, ())
+    *results, variant = _run_identities(rows + [variant_row], F["h"],
+                                        sample_points(samples, seed), tol, step,
+                                        len(rows) if fail_fast else 0)
     radial_term = {
         "radial_coefficient": "m*alpha",
         "max_rel_residual": results[0].max_rel_residual,  # {H,M1}=0
@@ -391,5 +394,6 @@ def cross_check_loop_spec(
         rows.append((f"{{{names[i]},{names[j]}}}={label}", bound[names[i]], bound[names[j]],
                      [(c, p, bound[names[k]]) for k, c, p in terms]))
     points = sample_points(samples, seed)
-    results = _run_identities(rows, _bind_all(params)["h"], points, tol, step, fail_fast)
+    results = _run_identities(rows, _bind_all(params)["h"], points, tol, step,
+                              len(rows) if fail_fast else 0)
     return OracleReport(params, samples, seed, tol, tuple(results))

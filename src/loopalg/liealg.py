@@ -25,12 +25,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .scalars import PuiseuxScalar, add_term, as_fraction, signature
+from .scalars import InputError, PuiseuxScalar, Rejected, add_term, as_fraction, signature
 
 CLASS_LABELS = ("so3", "so21", "e2", "e11", "heisenberg", "abelian3", "other")
 
 
-class JacobiViolation(ValueError):
+class JacobiViolation(Rejected):
     """The Jacobi identity fails on a triple of basis elements."""
 
     def __init__(self, i, j, k, residual):
@@ -41,15 +41,15 @@ class JacobiViolation(ValueError):
         )
 
 
-class SymbolicAlgebra(ValueError):
+class SymbolicAlgebra(Rejected):
     """Operation requires eps-free structure constants."""
 
 
-class WrongDimension(ValueError):
+class WrongDimension(Rejected):
     """Operation is only defined for a specific dimension."""
 
 
-class ContractionUndefined(ValueError):
+class ContractionUndefined(Rejected):
     """Weighted contraction violates n_i + n_j >= n_k on a nonzero constant."""
 
     def __init__(self, violations):
@@ -60,7 +60,7 @@ class ContractionUndefined(ValueError):
         super().__init__(f"contraction undefined; violated triples: {detail}")
 
 
-class NotInSpan(ValueError):
+class NotInSpan(Rejected):
     """A matrix commutator leaves the span of the given generators."""
 
     def __init__(self, i, j):
@@ -68,11 +68,11 @@ class NotInSpan(ValueError):
         super().__init__(f"commutator of generators {i} and {j} leaves the span")
 
 
-class LinearlyDependent(ValueError):
+class LinearlyDependent(Rejected):
     """Matrix generators are not linearly independent."""
 
 
-class AlgebraFormatError(ValueError):
+class AlgebraFormatError(InputError):
     """Malformed algebra description (file or dict)."""
 
 
@@ -241,11 +241,11 @@ class LieAlgebra:
                     terms.append(
                         (int(t["k"]), PuiseuxScalar.monomial(Fraction(t["c"]), Fraction(t.get("q", 0))))
                     )
-        except AlgebraFormatError:
+            return cls(dim, table, names=names)
+        except (InputError, Rejected):
             raise
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise AlgebraFormatError(f"malformed algebra description: {exc}") from exc
-        return cls(dim, table, names=names)
 
     def __repr__(self):
         nz = sum(len(row) for row in self._brackets.values())
@@ -396,7 +396,8 @@ def algebra_from_matrices(mats: Sequence, names=None) -> LieAlgebra:
     """Structure constants of a list of square rational matrices under [A,B] = AB - BA.
 
     The matrices must be linearly independent and their pairwise commutators
-    must lie in their span (checked by exact linear solve).
+    must lie in their span (checked by one exact elimination over the
+    generators and all commutators).
     """
     mats = [[[as_fraction(x) for x in row] for row in m] for m in mats]
     n = len(mats)
@@ -406,19 +407,22 @@ def algebra_from_matrices(mats: Sequence, names=None) -> LieAlgebra:
     for m in mats:
         if len(m) != d or any(len(row) != d for row in m):
             raise WrongDimension("generators must be square matrices of equal size")
-    # columns of the solve are the flattened generators
-    basis_cols = [[m[r][c] for m in mats] for r in range(d) for c in range(d)]
-    if linalg.matrix_rank(basis_cols) < n:
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    comms = [linalg.mat_sub(linalg.mat_mul(mats[i], mats[j]), linalg.mat_mul(mats[j], mats[i]))
+             for i, j in pairs]
+    # columns are the flattened generators, then the commutators: the
+    # generators are independent iff they take the first n pivots, and a
+    # commutator is then in their span iff its entries below row n vanish
+    red, pivots = linalg.row_reduce(
+        [[m[r][c] for m in mats + comms] for r in range(d) for c in range(d)]
+    )
+    if pivots[:n] != list(range(n)):
         raise LinearlyDependent("matrix generators are linearly dependent")
     table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            comm = linalg.mat_sub(linalg.mat_mul(mats[i], mats[j]), linalg.mat_mul(mats[j], mats[i]))
-            flat = [comm[r][c] for r in range(d) for c in range(d)]
-            x = linalg.solve_linear(basis_cols, flat)
-            if x is None:
-                raise NotInSpan(i, j)
-            row = {k: PuiseuxScalar.constant(v) for k, v in enumerate(x) if v}
-            if row:
-                table[(i, j)] = row
+    for col, (i, j) in enumerate(pairs, start=n):
+        if any(row[col] for row in red[n:]):
+            raise NotInSpan(i, j)
+        coeffs = {k: PuiseuxScalar.constant(red[k][col]) for k in range(n) if red[k][col]}
+        if coeffs:
+            table[(i, j)] = coeffs
     return LieAlgebra(n, table, names=names, check=False)

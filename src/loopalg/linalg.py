@@ -1,4 +1,4 @@
-"""Small exact linear algebra kernel over Fraction (rank, solve, inverse)."""
+"""Small exact linear algebra kernel over Fraction (rank, inverse)."""
 
 from __future__ import annotations
 
@@ -33,25 +33,6 @@ def row_reduce(rows):
 
 def matrix_rank(rows) -> int:
     return len(row_reduce(rows)[1])
-
-
-def solve_linear(a_rows, b):
-    """Exact solution x of A x = b, or None if inconsistent.
-
-    Free variables (if any) are set to zero; callers that need uniqueness
-    must pass a matrix with independent columns.
-    """
-    if not a_rows:
-        return [] if not any(b) else None
-    ncols = len(a_rows[0])
-    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    red, pivots = row_reduce(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][-1]
-    return x
 
 
 def invert_matrix(rows):

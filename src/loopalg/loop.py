@@ -33,17 +33,17 @@ from importlib import resources
 from typing import Sequence
 
 from .liealg import JacobiViolation, LieAlgebra
-from .scalars import PuiseuxScalar, add_term, as_fraction
+from .scalars import InputError, PuiseuxScalar, Rejected, add_term, as_fraction
 
 DEFAULT_MAX_LEVEL = 8
 _BUNDLED = ("h2", "l1", "l2")
 
 
-class SpecFormatError(ValueError):
+class SpecFormatError(InputError):
     """Malformed loop-spec description (file or dict)."""
 
 
-class NotClosed(ValueError):
+class NotClosed(Rejected):
     """A tower selection is not closed under the base brackets."""
 
     def __init__(self, i, j, k, needed, got):
@@ -53,11 +53,11 @@ class NotClosed(ValueError):
         )
 
 
-class GradeMismatch(ValueError):
+class GradeMismatch(Rejected):
     """A generator map does not preserve grades."""
 
 
-class BracketMismatch(ValueError):
+class BracketMismatch(Rejected):
     """A generator map does not carry base brackets to host brackets."""
 
 
@@ -90,7 +90,7 @@ class LoopElement:
         for i, n, c in pairs:
             key = (int(i), int(n))
             if key[1] < 0:
-                raise ValueError("negative levels are not part of the positive loop algebra")
+                raise InputError("negative levels are not part of the positive loop algebra")
             add_term(acc, key, as_fraction(c))
         return LoopElement(tuple((i, n, acc[(i, n)]) for i, n in sorted(acc)))
 
@@ -197,7 +197,7 @@ class LoopSpec:
         """Common grade of a homogeneous element (None for the zero element)."""
         grades = {self.grade_of(i, n) for i, n, _ in elem.terms}
         if len(grades) > 1:
-            raise ValueError(f"element is not homogeneous; grades {sorted(grades)}")
+            raise InputError(f"element is not homogeneous; grades {sorted(grades)}")
         return grades.pop() if grades else None
 
     def _bracket_raw(self, a, b):
@@ -262,12 +262,11 @@ class LoopSpec:
                     (int(t["k"]), Fraction(t["c"]), int(t.get("hpow", 0)))
                     for t in entry["terms"]
                 )
-            selection = data.get("selection")
-        except SpecFormatError:
+            return cls(s, generators, table, selection=data.get("selection"))
+        except (InputError, Rejected):
             raise
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise SpecFormatError(f"malformed loop spec: {exc}") from exc
-        return cls(s, generators, table, selection=selection)
 
     def __repr__(self):
         gens = ", ".join(f"{n}:{g}" for n, g in zip(self._names, self._grades))

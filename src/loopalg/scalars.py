@@ -20,19 +20,27 @@ from typing import Iterable, Union
 RationalLike = Union[Fraction, int, str]
 
 
-class NegativeExponent(ValueError):
+class InputError(ValueError):
+    """Malformed input: a file, an option or a parameter outside its domain (CLI exit 64)."""
+
+
+class Rejected(ValueError):
+    """Well-formed input that the mathematics refuses (CLI exit 1)."""
+
+
+class NegativeExponent(Rejected):
     """A term eps**q with q < 0 has no limit at eps = 0."""
 
 
-class NonPositiveEval(ValueError):
+class NonPositiveEval(Rejected):
     """Numeric evaluation requires eps > 0 (fractional exponents need a positive base)."""
 
 
-class InexactPower(ValueError):
+class InexactPower(Rejected):
     """Exact substitution hit eps**q with no rational value."""
 
 
-class NotSymmetric(ValueError):
+class NotSymmetric(Rejected):
     """Signature is only defined for symmetric matrices."""
 
 
@@ -135,7 +143,7 @@ class PuiseuxScalar:
     def constant_value(self) -> Fraction:
         """The value of an eps-free scalar."""
         if not self.is_constant():
-            raise ValueError(f"{self} depends on eps")
+            raise Rejected(f"{self} depends on eps")
         return self._terms[0][1] if self._terms else Fraction(0)
 
     def limit_at_zero(self) -> Fraction:

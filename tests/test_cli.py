@@ -1,5 +1,9 @@
 import json
 
+import pytest
+
+import loopalg
+from loopalg import cli, kepler, liealg, linalg, loop, scalars
 from loopalg.cli import main
 
 
@@ -180,9 +184,9 @@ def test_verify_kepler_rejects_bad_mass(capsys):
 
 
 def _rejected(code, out, err):
-    """Exit 64 with a one-line message, no traceback and no PASS."""
+    """Exit 64 with a one-line `error:` message, no traceback and no PASS."""
     lines = err.strip().splitlines()
-    return (code == 64 and len(lines) == 1 and not lines[0].startswith("Traceback")
+    return (code == 64 and len(lines) == 1 and lines[0].startswith("error:")
             and "PASS" not in out)
 
 
@@ -212,3 +216,60 @@ def test_verify_kepler_overflow_is_a_numerical_failure(capsys):
         lines = err.strip().splitlines()
         assert code == 2 and len(lines) == 1 and "overflow" in lines[0], argv
         assert "PASS" not in out
+
+
+_SPEC = {"s": 1, "generators": [{"name": "A", "grade": 0}, {"name": "B", "grade": 1}],
+         "brackets": []}
+_TERM_INF = {"i": 0, "j": 1, "terms": [{"k": 1, "c": 1e999}]}  # JSON 1e999 reads as inf
+
+# each fails in the constructor, which the loader checks as well
+MALFORMED_FILES = {
+    "dim_not_int": {"dim": "x"},
+    "names_not_list": {"dim": 3, "names": 5},
+    "constant_inf": {"dim": 2, "brackets": [_TERM_INF]},
+    "s_not_int": {**_SPEC, "s": "x"},
+    "grade_not_int": {**_SPEC, "generators": [{"name": "A", "grade": 0},
+                                              {"name": "B", "grade": "x"}]},
+    "selection_not_int": {**_SPEC, "selection": ["a"]},
+    "selection_not_list": {**_SPEC, "selection": 5},
+    "spec_constant_inf": {**_SPEC, "brackets": [_TERM_INF]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_input_file_exits_64_with_one_line(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_FILES[name]))
+    assert _rejected(*run(capsys, "validate", str(path)))
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_verify_kepler_rejects_tol_outside_its_domain(capsys, tol):
+    code, out, err = run(capsys, "verify-kepler", "--samples", "5", f"--tol={tol}")
+    assert _rejected(code, out, err) and "tol" in err
+
+
+def test_verify_kepler_tol_zero_runs(capsys):
+    # no residual is exactly 0, so every identity fails: a numerical failure
+    code, out, err = run(capsys, "verify-kepler", "--samples", "5", "--tol", "0")
+    assert code == 2 and not err and out.startswith("FAIL ")
+
+
+# exception classes outside the two input categories, and why
+NOT_CATEGORIZED = {
+    kepler.BoundaryTooClose: "oracle: stencil leaves the domain (exit 2)",
+    kepler.IdentityFailed: "oracle: identity over tolerance under fail_fast (exit 2)",
+}
+
+
+def test_every_exception_class_has_an_error_category():
+    modules = (loopalg, scalars, linalg, liealg, loop, kepler, cli)
+    classes = {obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__.startswith("loopalg")}
+    assert scalars.InputError in classes and liealg.NotInSpan in classes
+    for cls in classes:
+        assert issubclass(cls, (scalars.InputError, scalars.Rejected)) or cls in NOT_CATEGORIZED, cls
+        assert issubclass(cls, ValueError) or cls is kepler.IdentityFailed, cls
+    assert not issubclass(scalars.InputError, scalars.Rejected)
+    assert not issubclass(scalars.Rejected, scalars.InputError)

@@ -5,6 +5,7 @@ import pytest
 from loopalg import (
     BoundaryTooClose,
     IdentityFailed,
+    InputError,
     KeplerParams,
     PhasePoint,
     bundled_spec,
@@ -210,6 +211,18 @@ def test_params_must_be_finite():
     for bad in ({"m": math.inf}, {"alpha": math.nan}, {"beta": -math.inf}):
         with pytest.raises(ValueError, match="finite"):
             KeplerParams(**bad)
+
+
+def test_both_oracles_reject_empty_samples_and_tol_outside_its_domain():
+    # a wrongly bound spec passed every row with tol = inf, and every row of a
+    # cross-check passed with no sample at all
+    wrong = {"M2": "M1", "S": "S", "N1": "N1"}
+    for kwargs in ({"samples": 0}, {"tol": math.inf}, {"tol": math.nan}, {"tol": -1.0}):
+        with pytest.raises(InputError):
+            cross_check_loop_spec(bundled_spec("l1"), wrong, PARAMS, **{"samples": 5, **kwargs})
+        with pytest.raises(InputError):
+            identity_suite(PARAMS, **{"samples": 5, **kwargs})
+    assert identity_suite(PARAMS, samples=5, tol=0.0).all_pass is False
 
 
 def _worst(residuals):
