@@ -5,8 +5,8 @@ Exit codes follow the two error categories of :mod:`loopalg.scalars`: 64
 for an ``InputError`` (a usage error, a malformed input file or loop spec,
 or an option outside its domain such as ``verify-kepler --tol nan``) and 1
 for a ``Rejected`` input (well-formed, but refused by the mathematics: an
-algebra that fails Jacobi, a selection that is not closed, an undefined
-contraction).  2 is a numerical (oracle) failure or a floating-point
+algebra or loop spec that fails Jacobi, a selection that is not closed, an
+undefined contraction).  2 is a numerical (oracle) failure or a floating-point
 overflow; 0 is success.  Every error is one ``error: ...`` line on stderr.
 """
 

@@ -14,15 +14,18 @@ limits, matrix commutators -- skip the re-check.
 
 On top of the data type this module provides the structural toolbox used by
 the quotient/contraction pipeline: derived subalgebra and center dimensions,
-the exact Killing form, a classifier for 3-dimensional real algebras, the
+the exact Killing form and tr ad (all read from one sparse pass over the
+rational constants), a classifier for 3-dimensional real algebras, the
 generalized weighted contraction and its diagonal-rescaling counterpart, and
-extraction of structure constants from a list of matrix generators.
+extraction of structure constants from a list of matrix generators.  Basis
+changes are linear in the constants, so they transform the rational
+coefficients of one power of eps at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .scalars import InputError, PuiseuxScalar, Rejected, add_term, as_fraction, signature
@@ -197,23 +200,30 @@ class LieAlgebra:
         tinv = linalg.invert_matrix(t)
         if tinv is None:
             raise LinearlyDependent("change-of-basis matrix is singular")
-        table: dict[tuple[int, int], dict[int, PuiseuxScalar]] = {}
+        # linear in the constants: transform the rational coefficients of
+        # each power of eps on its own, then build each output scalar once
+        parts: dict[Fraction, list] = {}
+        for (i, j), row in self._brackets.items():
+            for k, s in row.items():
+                for q, c in s.terms:
+                    parts.setdefault(q, []).append((i, j, k, c))
+        terms: dict[tuple[int, int], dict[int, list]] = {}
         for a in range(self._dim):
             for b in range(a + 1, self._dim):
-                vec: dict[int, PuiseuxScalar] = {}
-                for (i, j), row in self._brackets.items():
-                    w = t[a][i] * t[b][j] - t[a][j] * t[b][i]
-                    if not w:
-                        continue
-                    for k, s in row.items():
-                        add_term(vec, k, w * s)
-                out: dict[int, PuiseuxScalar] = {}
-                for k, s in vec.items():
-                    for l in range(self._dim):
-                        if tinv[k][l]:
-                            add_term(out, l, tinv[k][l] * s)
-                if out:
-                    table[(a, b)] = out
+                w = {(i, j): t[a][i] * t[b][j] - t[a][j] * t[b][i] for i, j in self._brackets}
+                for q, part in parts.items():
+                    vec: dict[int, Fraction] = {}
+                    for i, j, k, c in part:
+                        if w[i, j]:
+                            add_term(vec, k, w[i, j] * c)
+                    out: dict[int, Fraction] = {}
+                    for k, c in vec.items():
+                        for l in range(self._dim):
+                            if tinv[k][l]:
+                                add_term(out, l, tinv[k][l] * c)
+                    for l, c in out.items():
+                        terms.setdefault((a, b), {}).setdefault(l, []).append((q, c))
+        table = {ab: {l: PuiseuxScalar(qc) for l, qc in row.items()} for ab, row in terms.items()}
         return LieAlgebra(self._dim, table, names=self._names, check=False)
 
     def to_json(self) -> dict:
@@ -264,44 +274,54 @@ def _check_weights(alg: LieAlgebra, weights) -> tuple[Fraction, ...]:
     return w
 
 
-def _ad_table(alg: LieAlgebra, op: str):
-    """Dense adjoint matrices of an eps-free algebra: ad[a][e][d] = C_ad^e."""
+class _Invariants(NamedTuple):
+    derived_dim: int
+    center_rows: list
+    killing: list
+    trace_ad: list
+
+    @property
+    def center_dim(self) -> int:
+        return len(self.killing) - linalg.matrix_rank(self.center_rows)
+
+
+def _invariants(alg: LieAlgebra, op: str) -> _Invariants:
+    """One sparse pass over the constants of an eps-free algebra.
+
+    ad[a] = {(e, d): C_ad^e} holds the nonzero entries of ad X_a.  The ranks
+    read only the nonzero rows; the centre is ranked only when it is read.
+    """
     _require_eps_free(alg, op)
     n = alg.dim
-    zero = Fraction(0)
-    ad = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    ad: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]
+    brackets: dict[tuple[int, int], list] = {}
+    center: dict[tuple[int, int], list] = {}
     for (i, j, k), c in alg.constants_fraction().items():
-        ad[i][k][j] = c
-        ad[j][k][i] = -c
-    return ad
+        ad[i][k, j] = c
+        ad[j][k, i] = -c
+        brackets.setdefault((i, j), [0] * n)[k] = c
+        center.setdefault((j, k), [0] * n)[i] = c
+        center.setdefault((i, k), [0] * n)[j] = -c
+    killing = [[sum((c * ad[b][d, e] for (e, d), c in ad[a].items() if (d, e) in ad[b]),
+                    Fraction(0)) for b in range(n)] for a in range(n)]
+    trace = [sum(c for (e, d), c in ad[a].items() if e == d) for a in range(n)]
+    derived = linalg.matrix_rank(list(brackets.values()))
+    return _Invariants(derived, list(center.values()), killing, trace)
 
 
 def derived_subalgebra_dim(alg: LieAlgebra) -> int:
     """Dimension of the span of all brackets [X_i, X_j] (exact rank)."""
-    ad = _ad_table(alg, "derived_subalgebra_dim")
-    n = alg.dim
-    rows = [[ad[i][k][j] for k in range(n)] for i in range(n) for j in range(i + 1, n)]
-    return linalg.matrix_rank(rows)
+    return _invariants(alg, "derived_subalgebra_dim").derived_dim
 
 
 def center_dim(alg: LieAlgebra) -> int:
     """Dimension of {x : [x, y] = 0 for all y} (exact nullity)."""
-    ad = _ad_table(alg, "center_dim")
-    n = alg.dim
-    rows = [[ad[a][e][b] for a in range(n)] for b in range(n) for e in range(n)]
-    return n - linalg.matrix_rank(rows)
+    return _invariants(alg, "center_dim").center_dim
 
 
 def killing_form(alg: LieAlgebra):
     """B(X_a, X_b) = trace(ad_a . ad_b) as an exact rational matrix."""
-    ad = _ad_table(alg, "killing_form")
-    n = alg.dim
-    form = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            tr = sum(ad[a][e][d] * ad[b][d][e] for e in range(n) for d in range(n))
-            form[a][b] = form[b][a] = tr
-    return form
+    return _invariants(alg, "killing_form").killing
 
 
 def classify3(alg: LieAlgebra) -> str:
@@ -316,18 +336,17 @@ def classify3(alg: LieAlgebra) -> str:
     """
     if alg.dim != 3:
         raise WrongDimension(f"classify3 needs dimension 3, got {alg.dim}")
-    ad = _ad_table(alg, "classify3")
-    d = derived_subalgebra_dim(alg)
+    inv = _invariants(alg, "classify3")
+    d = inv.derived_dim
     if d == 0:
         return "abelian3"
-    kill = killing_form(alg)
-    sig = signature(kill)
+    sig = signature(inv.killing)
     if d == 1:
-        if center_dim(alg) == 1 and sig == (0, 0, 3):
+        if inv.center_dim == 1 and sig == (0, 0, 3):
             return "heisenberg"
         return "other"
     if d == 2:
-        if any(sum(ad[a][e][e] for e in range(3)) for a in range(3)):
+        if any(inv.trace_ad):
             return "other"
         if sig == (0, 1, 2):
             return "e2"

@@ -1,34 +1,48 @@
-"""Small exact linear algebra kernel over Fraction (rank, inverse)."""
+"""Small exact linear algebra kernel over the rationals (rank, inverse).
+
+Entries are ints or Fractions.  Row reduction eliminates over the integers
+and divides by each pivot once, at the end (fraction-free elimination).
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def row_reduce(rows):
-    """In-place-free reduced row echelon form; returns (rref, pivot_columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
+    """Reduced row echelon form of a rational matrix; returns (rref, pivot_columns).
+
+    Each row is scaled to integers by the lcm of its denominators, updated as
+    piv * row_i - f * row_r and kept primitive by dividing out its gcd, as in
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968).  The RREF is
+    unique, so the result equals Gauss-Jordan elimination over Fraction.
+    """
+    m = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    ncols = len(m[0]) if m else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                row = [piv * a - f * b for a, b in zip(m[i], m[r])]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return red + [[Fraction(0)] * ncols for _ in m[r:]], pivots
 
 
 def matrix_rank(rows) -> int:
@@ -38,10 +52,7 @@ def matrix_rank(rows) -> int:
 def invert_matrix(rows):
     """Exact inverse of a square rational matrix, or None if singular."""
     n = len(rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     red, pivots = row_reduce(aug)
     if pivots != list(range(n)):
         return None
@@ -57,7 +68,3 @@ def mat_mul(a, b):
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]

@@ -43,6 +43,10 @@ class SpecFormatError(InputError):
     """Malformed loop-spec description (file or dict)."""
 
 
+class SpecJacobiViolation(Rejected):
+    """A grade-consistent loop spec fails the Jacobi identity."""
+
+
 class NotClosed(Rejected):
     """A tower selection is not closed under the base brackets."""
 
@@ -221,7 +225,7 @@ class LoopSpec:
             # grades make each generator appear at one level in the residual
             res = {(k, int(q)): c for k, s in exc.residual.items() for q, c in s.terms}
             i, j, k = exc.triple
-            raise SpecFormatError(
+            raise SpecJacobiViolation(
                 f"Jacobi identity fails on basic triple ({i},{j},{k}): {res}"
             ) from exc
 

@@ -50,6 +50,16 @@ CLASSIFIED = {
 }
 
 
+# Non-unimodular algebras with a two-dimensional derived algebra: their Killing
+# inertia matches e11 / e2, but some tr ad X_a is nonzero.
+NON_UNIMODULAR = {
+    # Bianchi V: [X2,X0] = X0, [X2,X1] = X1
+    "bianchi_v": {(0, 2): {0: -1}, (1, 2): {1: -1}},
+    # Bianchi VII_h, h = 1/2: ad X2 = [[h, -1], [1, h]] on span(X0, X1)
+    "bianchi_vii_half": {(0, 2): {0: Fraction(-1, 2), 1: -1}, (1, 2): {0: 1, 1: Fraction(-1, 2)}},
+}
+
+
 def random_invertible(rng: random.Random, n: int):
     """Random invertible rational n x n matrix with small entries."""
     from loopalg.linalg import invert_matrix

@@ -1,0 +1,267 @@
+"""The exact kernels against the plain Fraction algorithms they replaced.
+
+Each reference below is the earlier implementation of a kernel:
+Gauss-Jordan elimination over Fraction, the dense adjoint table behind the
+structural invariants, and the basis change that multiplies PuiseuxScalars
+term by term.  The kernels must return exactly what the references return.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import CLASSIFIED, NON_UNIMODULAR
+from loopalg import (
+    LieAlgebra,
+    SymbolicAlgebra,
+    algebra_from_matrices,
+    bundled_spec,
+    center_dim,
+    classify3,
+    derived_subalgebra_dim,
+    factor_algebra,
+    killing_form,
+    selection_ok,
+    signature,
+)
+from loopalg.linalg import invert_matrix, mat_mul, mat_sub, matrix_rank, row_reduce
+from loopalg.scalars import add_term
+
+
+# -- references ------------------------------------------------------------------
+
+def gauss_jordan(rows):
+    """Reduced row echelon form over Fraction; returns (rref, pivot_columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        m[r] = [x / piv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def dense_ad(alg):
+    """ad[a][e][d] = C_ad^e as a dense Fraction table."""
+    n = alg.dim
+    ad = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), c in alg.constants_fraction().items():
+        ad[i][k][j] = c
+        ad[j][k][i] = -c
+    return ad
+
+
+def ref_derived_dim(alg):
+    ad, n = dense_ad(alg), alg.dim
+    rows = [[ad[i][k][j] for k in range(n)] for i in range(n) for j in range(i + 1, n)]
+    return len(gauss_jordan(rows)[1])
+
+
+def ref_center_dim(alg):
+    ad, n = dense_ad(alg), alg.dim
+    rows = [[ad[a][e][b] for a in range(n)] for b in range(n) for e in range(n)]
+    return n - len(gauss_jordan(rows)[1])
+
+
+def ref_killing(alg):
+    ad, n = dense_ad(alg), alg.dim
+    form = [[Fraction(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            tr = sum(ad[a][e][d] * ad[b][d][e] for e in range(n) for d in range(n))
+            form[a][b] = form[b][a] = tr
+    return form
+
+
+def ref_classify3(alg):
+    ad = dense_ad(alg)
+    d = ref_derived_dim(alg)
+    if d == 0:
+        return "abelian3"
+    sig = signature(ref_killing(alg))
+    if d == 1:
+        return "heisenberg" if ref_center_dim(alg) == 1 and sig == (0, 0, 3) else "other"
+    if d == 2:
+        if any(sum(ad[a][e][e] for e in range(3)) for a in range(3)):
+            return "other"
+        return {(0, 1, 2): "e2", (1, 0, 2): "e11"}.get(sig, "other")
+    return {(0, 3, 0): "so3", (2, 1, 0): "so21"}.get(sig, "other")
+
+
+def ref_change_basis(alg, t):
+    """Basis change with PuiseuxScalar arithmetic on every term."""
+    n = alg.dim
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(t)]
+    tinv = [row[n:] for row in gauss_jordan(aug)[0]]
+    table = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            vec = {}
+            for (i, j), row in alg.brackets().items():
+                w = t[a][i] * t[b][j] - t[a][j] * t[b][i]
+                for k, s in row.items():
+                    if w:
+                        add_term(vec, k, w * s)
+            out = {}
+            for k, s in vec.items():
+                for l in range(n):
+                    if tinv[k][l]:
+                        add_term(out, l, tinv[k][l] * s)
+            if out:
+                table[(a, b)] = out
+    return LieAlgebra(n, table, names=alg.names, check=False)
+
+
+# -- inputs ------------------------------------------------------------------------
+
+def random_entry(rng):
+    if rng.random() < 0.35:
+        return 0
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7, 12)))
+
+
+def random_matrix(rng):
+    """Random rational matrix with zero rows/columns and dependent rows mixed in."""
+    nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+    m = [[random_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows and rng.random() < 0.3:
+        m[rng.randrange(nrows)] = [0] * ncols
+    if ncols and rng.random() < 0.3:
+        c = rng.randrange(ncols)
+        for row in m:
+            row[c] = 0
+    if nrows >= 3 and rng.random() < 0.5:
+        f, g = random_entry(rng), random_entry(rng)
+        m[-1] = [f * x + g * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+def random_basis(rng, n):
+    while True:
+        t = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+             for _ in range(n)]
+        if len(gauss_jordan(t)[1]) == n:
+            return t
+
+
+def so31():
+    """so(3,1) from the 4x4 rotation and boost matrices."""
+    def e(*cells):
+        return [[Fraction(int((r, c) in cells)) for c in range(4)] for r in range(4)]
+
+    rotations = [mat_sub(e((k, j)), e((j, k))) for j, k in ((1, 2), (2, 0), (0, 1))]
+    return algebra_from_matrices(rotations + [e((i, 3), (3, i)) for i in range(3)])
+
+
+# -- row reduction -------------------------------------------------------------------
+
+def test_row_reduce_matches_fraction_gauss_jordan():
+    rng = random.Random(6061)
+    shapes = set()
+    deficient = 0
+    for _ in range(400):
+        m = random_matrix(rng)
+        before = [list(row) for row in m]
+        red, pivots = row_reduce(m)
+        assert (red, pivots) == gauss_jordan(m)
+        assert all(type(x) is Fraction for row in red for x in row)
+        assert m == before
+        assert matrix_rank(m) == len(pivots)
+        if m and m[0]:
+            shapes.add((len(m) > len(m[0])) - (len(m) < len(m[0])))
+            deficient += len(pivots) < min(len(m), len(m[0]))
+    assert shapes == {-1, 0, 1} and deficient > 50
+
+
+def test_invert_matrix_is_the_exact_inverse():
+    rng = random.Random(17)
+    singular = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        t = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+        inv = invert_matrix(t)
+        if inv is None:
+            singular += 1
+            assert len(gauss_jordan(t)[1]) < n
+        else:
+            assert mat_mul(t, inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert 0 < singular < 200
+
+
+# -- invariants ----------------------------------------------------------------------
+
+def _invariant_cases():
+    rng = random.Random(3141)
+    bases = [build() for build in CLASSIFIED.values()]
+    bases += [LieAlgebra(3, table) for table in NON_UNIMODULAR.values()]
+    for alg in bases:
+        yield alg
+        for _ in range(20):
+            yield alg.change_basis(random_basis(rng, 3))
+
+
+def test_invariants_match_dense_reference():
+    count = 0
+    for alg in _invariant_cases():
+        assert derived_subalgebra_dim(alg) == ref_derived_dim(alg)
+        assert center_dim(alg) == ref_center_dim(alg)
+        kill = killing_form(alg)
+        assert kill == ref_killing(alg)
+        assert all(type(x) is Fraction for row in kill for x in row)
+        assert classify3(alg) == ref_classify3(alg)
+        count += 1
+    assert count == 9 * 21
+
+
+def test_invariants_of_so31_match_dense_reference():
+    rng = random.Random(31)
+    base = so31()
+    for alg in [base] + [base.change_basis(random_basis(rng, 6)) for _ in range(3)]:
+        assert derived_subalgebra_dim(alg) == ref_derived_dim(alg) == 6
+        assert center_dim(alg) == ref_center_dim(alg) == 0
+        assert killing_form(alg) == ref_killing(alg)
+
+
+@pytest.mark.parametrize("reader", [derived_subalgebra_dim, center_dim, killing_form, classify3])
+def test_invariant_readers_name_themselves_on_symbolic_input(reader):
+    family = factor_algebra(bundled_spec("h2"))
+    with pytest.raises(SymbolicAlgebra, match=f"^{reader.__name__} requires eps-free"):
+        reader(family)
+
+
+# -- basis change ---------------------------------------------------------------------
+
+def test_change_basis_matches_termwise_reference_on_symbolic_quotients():
+    rng = random.Random(271)
+    families = 0
+    for name in ("h2", "l1", "l2"):
+        spec = bundled_spec(name)
+        for sel in itertools.product(range(3), repeat=3):
+            if not selection_ok(spec, sel):
+                continue
+            family = factor_algebra(spec, sel)
+            families += family.is_symbolic
+            t = random_basis(rng, 3)
+            changed = family.change_basis(t)
+            assert changed.structure_constants() == ref_change_basis(family, t).structure_constants()
+            for eps in (1, Fraction(1, 4), 0, -1):
+                assert changed.evaluate_at(eps).same_constants(family.evaluate_at(eps).change_basis(t))
+    assert families > 30
+

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CLASSIFIED, abelian3, e2, heisenberg, random_invertible, so3
+from conftest import CLASSIFIED, NON_UNIMODULAR, abelian3, e2, heisenberg, random_invertible, so3
 from loopalg import (
     ContractionUndefined,
     JacobiViolation,
@@ -184,16 +184,6 @@ def test_classify3_basis_change_invariance_smoke():
         base = build()
         for _ in range(25):
             assert classify3(base.change_basis(random_invertible(rng, 3))) == label
-
-
-# Non-unimodular algebras with a two-dimensional derived algebra: their Killing
-# inertia matches e11 / e2, but some tr ad X_a is nonzero.
-NON_UNIMODULAR = {
-    # Bianchi V: [X2,X0] = X0, [X2,X1] = X1
-    "bianchi_v": {(0, 2): {0: -1}, (1, 2): {1: -1}},
-    # Bianchi VII_h, h = 1/2: ad X2 = [[h, -1], [1, h]] on span(X0, X1)
-    "bianchi_vii_half": {(0, 2): {0: Fraction(-1, 2), 1: -1}, (1, 2): {0: 1, 1: Fraction(-1, 2)}},
-}
 
 
 def random_rational_basis(rng):

@@ -22,7 +22,7 @@ from loopalg import (
     rescale_basis,
     selection_ok,
 )
-from loopalg.loop import BracketMismatch, GradeMismatch, NotClosed
+from loopalg.loop import BracketMismatch, GradeMismatch, NotClosed, SpecJacobiViolation
 
 P = PuiseuxScalar
 
@@ -60,7 +60,7 @@ def test_grade_law_enforced_at_load():
 
 def test_jacobi_enforced_at_load():
     # grade-consistent but {B,{C,A}} = h*C survives the cyclic sum
-    with pytest.raises(SpecFormatError, match="Jacobi"):
+    with pytest.raises(SpecJacobiViolation, match="Jacobi"):
         LoopSpec(
             2,
             [("A", 1), ("B", 1), ("C", 2)],
@@ -114,7 +114,7 @@ def test_jacobi_check_matches_reference_on_random_tables():
         outcomes.add(fails)
         gens = [(f"G{g}", grade) for g, grade in enumerate(grades)]
         if fails:
-            with pytest.raises(SpecFormatError, match="Jacobi"):
+            with pytest.raises(SpecJacobiViolation, match="Jacobi"):
                 LoopSpec(s, gens, table)
         else:
             LoopSpec(s, gens, table)
