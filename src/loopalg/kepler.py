@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .scalars import InputError
 
@@ -64,6 +64,12 @@ class IdentityFailed(RuntimeError):
         super().__init__(f"{name} failed at {point}: relative residual {residual:.3e}")
 
 
+def _require_finite(record):
+    for name in (field.name for field in fields(record)):
+        if not math.isfinite(getattr(record, name)):
+            raise InputError(f"{name} must be finite, got {getattr(record, name)}")
+
+
 @dataclass(frozen=True)
 class KeplerParams:
     """Mass, Coulomb coupling, and perturbation strength (beta may be 0)."""
@@ -73,9 +79,7 @@ class KeplerParams:
     beta: float = 0.5
 
     def __post_init__(self):
-        for name in ("m", "alpha", "beta"):
-            if not math.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
+        _require_finite(self)
         if self.m <= 0:
             raise InputError(f"mass must be positive, got {self.m}")
 
@@ -90,6 +94,7 @@ class PhasePoint:
     pphi: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.r <= 0:
             raise InputError(f"r must be positive, got {self.r}")
         if not -math.pi < self.phi < math.pi:
@@ -191,7 +196,7 @@ def _bracket_from_partials(pf, pg):
 
 def poisson(f, g, params: KeplerParams, point: PhasePoint, step: float = 1e-6) -> float:
     """{f, g} at one phase-space point via central finite differences."""
-    x = point.astuple() if isinstance(point, PhasePoint) else tuple(point)
+    x = (point if isinstance(point, PhasePoint) else PhasePoint(*point)).astuple()
     _check_boundary(x, step)
     return poisson_fn(f, g, params, step)(*x)
 

@@ -1,25 +1,28 @@
 """Finite-dimensional Lie algebras with eps-dependent structure constants.
 
-An algebra is stored as sparse antisymmetric structure constants over
-:class:`~loopalg.scalars.PuiseuxScalar`: for basis indices i < j,
+For basis indices i < j,
 
-    [X_i, X_j] = sum_k C_ij^k X_k,
+    [X_i, X_j] = sum_k C_ij^k X_k,    C_ij^k(eps) = sum_q eps**q (C_q)_ij^k,
 
-with the (j, i) bracket implied by antisymmetry.  The Jacobi identity is
-checked exactly where input enters (direct construction and ``from_json``),
-so every value of this type is a genuine Lie algebra (possibly depending on
-the parameter eps).  Operations whose results are Lie algebras by
-construction -- basis changes, rescalings, substitutions of eps, contraction
-limits, matrix commutators -- skip the re-check.
+with the (j, i) bracket implied by antisymmetry.  An algebra stores these
+constants as rational layers, one sparse table {(i, j, k): (C_q)_ij^k} per
+exponent q, and each operation is one pass over the layers: eps = 0 keeps
+the q = 0 layer (a negative q has no limit), another value of eps scales
+each layer by eps**q, a weighted rescaling shifts q, and a basis change
+transforms each layer on its own.  A :class:`~loopalg.scalars.PuiseuxScalar`
+is built only where a public method hands a constant out.  The Jacobi
+identity is checked exactly where input enters (direct construction and
+``from_json``), so every value of this type is a genuine Lie algebra
+(possibly depending on the parameter eps).  Operations whose results are Lie
+algebras by construction -- basis changes, rescalings, substitutions of eps,
+contraction limits, matrix commutators -- skip the re-check.
 
 On top of the data type this module provides the structural toolbox used by
 the quotient/contraction pipeline: derived subalgebra and center dimensions,
 the exact Killing form and tr ad (all read from one sparse pass over the
 rational constants), a classifier for 3-dimensional real algebras, the
 generalized weighted contraction and its diagonal-rescaling counterpart, and
-extraction of structure constants from a list of matrix generators.  Basis
-changes are linear in the constants, so they transform the rational
-coefficients of one power of eps at a time.
+extraction of structure constants from a list of matrix generators.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
-from .scalars import InputError, PuiseuxScalar, Rejected, add_term, as_fraction, signature
+from .scalars import InputError, PuiseuxScalar, Rejected, add_term, as_fraction, as_int, signature
 
 CLASS_LABELS = ("so3", "so21", "e2", "e11", "heisenberg", "abelian3", "other")
 
@@ -79,40 +82,44 @@ class AlgebraFormatError(InputError):
     """Malformed algebra description (file or dict)."""
 
 
-def _coerce_scalar(value) -> PuiseuxScalar:
-    if isinstance(value, PuiseuxScalar):
-        return value
-    return PuiseuxScalar.constant(as_fraction(value))
+def _shape(dim, names) -> tuple[int, tuple[str, ...]]:
+    """Checked dimension and generator names (X0, X1, ... by default)."""
+    dim = as_int(dim, "dim")
+    if dim < 0:
+        raise AlgebraFormatError("dimension must be nonnegative")
+    names = [f"X{i}" for i in range(dim)] if names is None else [str(n) for n in names]
+    if len(names) != dim:
+        raise AlgebraFormatError("names length does not match dimension")
+    return dim, tuple(names)
 
 
 class LieAlgebra:
-    """Lie algebra given by sparse structure constants over PuiseuxScalar."""
+    """Lie algebra stored as rational layers: ``_layers[q][(i, j, k)]`` is the
+    eps**q coefficient of C_ij^k, with i < j, no zero entry and no empty layer."""
 
     def __init__(self, dim, brackets, names=None, check=True):
-        self._dim = int(dim)
-        if self._dim < 0:
-            raise AlgebraFormatError("dimension must be nonnegative")
-        if names is None:
-            names = [f"X{i}" for i in range(self._dim)]
-        names = [str(n) for n in names]
-        if len(names) != self._dim:
-            raise AlgebraFormatError("names length does not match dimension")
-        self._names = tuple(names)
-        table: dict[tuple[int, int], dict[int, PuiseuxScalar]] = {}
+        self._dim, self._names = _shape(dim, names)
+        layers: dict = {}
         for (i, j), terms in brackets.items():
             if not (0 <= i < j < self._dim):
                 raise AlgebraFormatError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-            row = {}
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for k, coeff in items:
+            for k, coeff in terms.items() if isinstance(terms, Mapping) else terms:
                 if not 0 <= k < self._dim:
                     raise AlgebraFormatError(f"bracket target {k} out of range")
-                add_term(row, k, _coerce_scalar(coeff))
-            if row:
-                table[(i, j)] = row
-        self._brackets = table
+                qc = coeff.terms if isinstance(coeff, PuiseuxScalar) else [(0, as_fraction(coeff))]
+                for q, c in qc:
+                    add_term(layers.setdefault(q, {}), (i, j, k), c)
+        self._layers = {q: layer for q, layer in layers.items() if layer}
         if check:
             self.validate()
+
+    @classmethod
+    def _from_layers(cls, dim, layers, names) -> "LieAlgebra":
+        """An algebra from layers {q: {(i, j, k): c}} that are Lie by construction."""
+        alg = cls.__new__(cls)
+        alg._dim, alg._names = _shape(dim, names)
+        alg._layers = {q: layer for q, layer in layers.items() if layer}
+        return alg
 
     @property
     def dim(self) -> int:
@@ -122,75 +129,77 @@ class LieAlgebra:
     def names(self) -> tuple[str, ...]:
         return self._names
 
+    def _rows(self) -> dict:
+        """{(i, j): {k: [(q, c), ...]}} with pairs, targets and exponents sorted."""
+        rows: dict[tuple[int, int], dict] = {}
+        for q, layer in sorted(self._layers.items()):
+            for (i, j, k), c in layer.items():
+                rows.setdefault((i, j), {}).setdefault(k, []).append((q, c))
+        return {ij: dict(sorted(rows[ij].items())) for ij in sorted(rows)}
+
     def brackets(self):
-        """The stored (i, j) -> {k: scalar} table, i < j only."""
-        return {ij: dict(row) for ij, row in self._brackets.items()}
+        """The (i, j) -> {k: scalar} table, i < j only."""
+        return {ij: {k: PuiseuxScalar(qc) for k, qc in row.items()}
+                for ij, row in self._rows().items()}
 
     def bracket_on_basis(self, i: int, j: int) -> dict[int, PuiseuxScalar]:
         """[X_i, X_j] as a sparse coefficient vector (any i, j)."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self._brackets.get((i, j), {}))
-        return {k: -s for k, s in self._brackets.get((j, i), {}).items()}
-
-    def _ad_apply(self, i, vec):
-        """[X_i, sum_d vec_d X_d] as a sparse vector over PuiseuxScalar."""
-        out: dict[int, PuiseuxScalar] = {}
-        for d, coeff in vec.items():
-            for e, c in self.bracket_on_basis(i, d).items():
-                add_term(out, e, coeff * c)
-        return out
+        (a, b), sign = ((i, j), 1) if i < j else ((j, i), -1)
+        return {k: PuiseuxScalar([(q, sign * c) for q, c in qc])
+                for k, qc in self._rows().get((a, b), {}).items()}
 
     def validate(self):
         """Check the Jacobi identity exactly on all basis triples."""
+        # adj[a, b] lists the terms (e, q, c) of [X_a, X_b] = sum c eps**q X_e
+        adj: dict[tuple[int, int], list] = {}
+        for q, layer in self._layers.items():
+            for (i, j, k), c in layer.items():
+                adj.setdefault((i, j), []).append((k, q, c))
+                adj.setdefault((j, i), []).append((k, q, -c))
         for i in range(self._dim):
             for j in range(i + 1, self._dim):
-                bij = self.bracket_on_basis(i, j)
                 for k in range(j + 1, self._dim):
-                    res = self._ad_apply(i, self.bracket_on_basis(j, k))
-                    for a, vec in ((j, self.bracket_on_basis(k, i)), (k, bij)):
-                        for e, c in self._ad_apply(a, vec).items():
-                            add_term(res, e, c)
-                    if res:
-                        raise JacobiViolation(i, j, k, res)
+                    res: dict[int, dict] = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for d, q1, c1 in adj.get((b, c), ()):
+                            for e, q2, c2 in adj.get((a, d), ()):
+                                add_term(res.setdefault(e, {}), q1 + q2, c1 * c2)
+                    residual = {e: PuiseuxScalar(qc) for e, qc in res.items() if qc}
+                    if residual:
+                        raise JacobiViolation(i, j, k, residual)
 
     @property
     def is_symbolic(self) -> bool:
         """True when any structure constant depends on eps."""
-        return any(
-            not s.is_constant() for row in self._brackets.values() for s in row.values()
-        )
+        return any(q != 0 for q in self._layers)
 
     def constants_fraction(self) -> dict[tuple[int, int, int], Fraction]:
         """Structure constants as plain rationals; requires an eps-free algebra."""
-        out = {}
-        for (i, j), row in self._brackets.items():
-            for k, s in row.items():
-                if not s.is_constant():
-                    raise SymbolicAlgebra(
-                        f"structure constant C_{i}{j}^{k} = {s} depends on eps"
-                    )
-                out[(i, j, k)] = s.constant_value()
-        return out
+        _require_eps_free(self, "constants_fraction")
+        return dict(self._layers.get(0, {}))
 
     def structure_constants(self):
         """Canonical hashable form of the bracket table, for exact comparison."""
         return frozenset(
-            (i, j, k, s) for (i, j), row in self._brackets.items() for k, s in row.items()
+            (i, j, k, s) for (i, j), row in self.brackets().items() for k, s in row.items()
         )
 
     def same_constants(self, other: "LieAlgebra") -> bool:
-        return self._dim == other._dim and self.structure_constants() == other.structure_constants()
+        return self._dim == other._dim and self._layers == other._layers
 
     def evaluate_at(self, eps) -> "LieAlgebra":
         """Substitute an exact rational value for eps (eps = 0 takes the limit)."""
         eps = as_fraction(eps)
-        table = {
-            ij: {k: s.substitute(eps) for k, s in row.items()}
-            for ij, row in self._brackets.items()
-        }
-        return LieAlgebra(self._dim, table, names=self._names, check=False)
+        out: dict[tuple[int, int, int], Fraction] = {}
+        for q, layer in self._layers.items():
+            # eps**q; substituting into the layer's first term raises what that
+            # scalar would (NegativeExponent names its coefficient, InexactPower)
+            c0 = next(iter(layer.values()))
+            power = PuiseuxScalar.monomial(c0, q).substitute(eps) / c0
+            if power:
+                for key, c in layer.items():
+                    add_term(out, key, c * power)
+        return LieAlgebra._from_layers(self._dim, {0: out}, self._names)
 
     def change_basis(self, t_rows) -> "LieAlgebra":
         """Rewrite the algebra in the basis Y_a = sum_j T[a][j] X_j (T invertible)."""
@@ -200,65 +209,51 @@ class LieAlgebra:
         tinv = linalg.invert_matrix(t)
         if tinv is None:
             raise LinearlyDependent("change-of-basis matrix is singular")
-        # linear in the constants: transform the rational coefficients of
-        # each power of eps on its own, then build each output scalar once
-        parts: dict[Fraction, list] = {}
-        for (i, j), row in self._brackets.items():
-            for k, s in row.items():
-                for q, c in s.terms:
-                    parts.setdefault(q, []).append((i, j, k, c))
-        terms: dict[tuple[int, int], dict[int, list]] = {}
+        # linear in the constants: each layer transforms on its own
+        pairs = {(i, j) for layer in self._layers.values() for i, j, _ in layer}
+        layers: dict = {q: {} for q in self._layers}
         for a in range(self._dim):
             for b in range(a + 1, self._dim):
-                w = {(i, j): t[a][i] * t[b][j] - t[a][j] * t[b][i] for i, j in self._brackets}
-                for q, part in parts.items():
+                w = {(i, j): t[a][i] * t[b][j] - t[a][j] * t[b][i] for i, j in pairs}
+                for q, layer in self._layers.items():
                     vec: dict[int, Fraction] = {}
-                    for i, j, k, c in part:
+                    for (i, j, k), c in layer.items():
                         if w[i, j]:
                             add_term(vec, k, w[i, j] * c)
-                    out: dict[int, Fraction] = {}
+                    out = layers[q]
                     for k, c in vec.items():
                         for l in range(self._dim):
                             if tinv[k][l]:
-                                add_term(out, l, tinv[k][l] * c)
-                    for l, c in out.items():
-                        terms.setdefault((a, b), {}).setdefault(l, []).append((q, c))
-        table = {ab: {l: PuiseuxScalar(qc) for l, qc in row.items()} for ab, row in terms.items()}
-        return LieAlgebra(self._dim, table, names=self._names, check=False)
+                                add_term(out, (a, b, l), tinv[k][l] * c)
+        return LieAlgebra._from_layers(self._dim, layers, self._names)
 
     def to_json(self) -> dict:
-        brackets = []
-        for (i, j) in sorted(self._brackets):
-            terms = []
-            for k in sorted(self._brackets[(i, j)]):
-                for t in self._brackets[(i, j)][k].to_json():
-                    terms.append({"k": k, "c": t["c"], "q": t["q"]})
-            brackets.append({"i": i, "j": j, "terms": terms})
+        brackets = [
+            {"i": i, "j": j,
+             "terms": [{"k": k, "c": str(c), "q": str(q)} for k, qc in row.items() for q, c in qc]}
+            for (i, j), row in self._rows().items()
+        ]
         return {"dim": self._dim, "names": list(self._names), "brackets": brackets}
 
     @classmethod
     def from_json(cls, data: dict) -> "LieAlgebra":
         try:
-            dim = data["dim"]
-            names = data.get("names")
             table: dict[tuple[int, int], list] = {}
             for entry in data.get("brackets", []):
-                i, j = int(entry["i"]), int(entry["j"])
+                i, j = as_int(entry["i"], "i"), as_int(entry["j"], "j")
                 if i >= j:
                     raise AlgebraFormatError(f"bracket entry requires i < j, got ({i},{j})")
-                terms = table.setdefault((i, j), [])
-                for t in entry["terms"]:
-                    terms.append(
-                        (int(t["k"]), PuiseuxScalar.monomial(Fraction(t["c"]), Fraction(t.get("q", 0))))
-                    )
-            return cls(dim, table, names=names)
+                table.setdefault((i, j), []).extend(
+                    (as_int(t["k"], "k"), PuiseuxScalar.monomial(Fraction(t["c"]), Fraction(t.get("q", 0))))
+                    for t in entry["terms"])
+            return cls(data["dim"], table, names=data.get("names"))
         except (InputError, Rejected):
             raise
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise AlgebraFormatError(f"malformed algebra description: {exc}") from exc
 
     def __repr__(self):
-        nz = sum(len(row) for row in self._brackets.values())
+        nz = len({key for layer in self._layers.values() for key in layer})
         return f"LieAlgebra(dim={self._dim}, names={list(self._names)}, nonzero_terms={nz})"
 
 
@@ -296,7 +291,7 @@ def _invariants(alg: LieAlgebra, op: str) -> _Invariants:
     ad: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]
     brackets: dict[tuple[int, int], list] = {}
     center: dict[tuple[int, int], list] = {}
-    for (i, j, k), c in alg.constants_fraction().items():
+    for (i, j, k), c in alg._layers.get(0, {}).items():
         ad[i][k, j] = c
         ad[j][k, i] = -c
         brackets.setdefault((i, j), [0] * n)[k] = c
@@ -378,20 +373,16 @@ def contract(alg: LieAlgebra, weights) -> LieAlgebra:
     _require_eps_free(alg, "contract")
     w = _check_weights(alg, weights)
     violations = []
-    table: dict[tuple[int, int], dict[int, PuiseuxScalar]] = {}
-    for (i, j), row in alg.brackets().items():
-        kept = {}
-        for k, s in row.items():
-            e = w[i] + w[j] - w[k]
-            if e < 0:
-                violations.append((i, j, k, w[i], w[j], w[k]))
-            elif e == 0:
-                kept[k] = s
-        if kept:
-            table[(i, j)] = kept
+    kept = {}
+    for (i, j, k), c in alg._layers.get(0, {}).items():
+        e = w[i] + w[j] - w[k]
+        if e < 0:
+            violations.append((i, j, k, w[i], w[j], w[k]))
+        elif e == 0:
+            kept[i, j, k] = c
     if violations:
         raise ContractionUndefined(violations)
-    return LieAlgebra(alg.dim, table, names=alg.names, check=False)
+    return LieAlgebra._from_layers(alg.dim, {0: kept}, alg.names)
 
 
 def rescale_basis(alg: LieAlgebra, weights) -> LieAlgebra:
@@ -403,12 +394,11 @@ def rescale_basis(alg: LieAlgebra, weights) -> LieAlgebra:
     limit of rescale_basis(alg, -w), entrywise, whenever it exists.
     """
     w = _check_weights(alg, weights)
-    table = {}
-    for (i, j), row in alg.brackets().items():
-        table[(i, j)] = {
-            k: s * PuiseuxScalar.monomial(1, w[k] - w[i] - w[j]) for k, s in row.items()
-        }
-    return LieAlgebra(alg.dim, table, names=alg.names, check=False)
+    layers: dict = {}
+    for q, layer in alg._layers.items():
+        for (i, j, k), c in layer.items():
+            layers.setdefault(q + w[k] - w[i] - w[j], {})[i, j, k] = c
+    return LieAlgebra._from_layers(alg.dim, layers, alg.names)
 
 
 def algebra_from_matrices(mats: Sequence, names=None) -> LieAlgebra:
@@ -437,11 +427,9 @@ def algebra_from_matrices(mats: Sequence, names=None) -> LieAlgebra:
     )
     if pivots[:n] != list(range(n)):
         raise LinearlyDependent("matrix generators are linearly dependent")
-    table = {}
+    layer = {}
     for col, (i, j) in enumerate(pairs, start=n):
         if any(row[col] for row in red[n:]):
             raise NotInSpan(i, j)
-        coeffs = {k: PuiseuxScalar.constant(red[k][col]) for k in range(n) if red[k][col]}
-        if coeffs:
-            table[(i, j)] = coeffs
-    return LieAlgebra(n, table, names=names, check=False)
+        layer.update(((i, j, k), red[k][col]) for k in range(n) if red[k][col])
+    return LieAlgebra._from_layers(n, {0: layer}, names)

@@ -33,7 +33,7 @@ from importlib import resources
 from typing import Sequence
 
 from .liealg import JacobiViolation, LieAlgebra
-from .scalars import InputError, PuiseuxScalar, Rejected, add_term, as_fraction
+from .scalars import InputError, PuiseuxScalar, Rejected, add_term, as_fraction, as_int
 
 DEFAULT_MAX_LEVEL = 8
 _BUNDLED = ("h2", "l1", "l2")
@@ -103,7 +103,7 @@ class TowerSelection(tuple):
     """Minimal retained level per tower; plain tuple of nonnegative ints."""
 
     def __new__(cls, levels: Sequence[int]):
-        levels = tuple(int(m) for m in levels)
+        levels = tuple(as_int(m, "selection level") for m in levels)
         if any(m < 0 for m in levels):
             raise SpecFormatError("selection levels must be nonnegative")
         return super().__new__(cls, levels)
@@ -113,12 +113,12 @@ class LoopSpec:
     """Basic generators, grades, and base brackets of a positive loop algebra."""
 
     def __init__(self, s, generators, brackets, selection=None):
-        self._s = int(s)
+        self._s = as_int(s, "s")
         if self._s < 1:
             raise SpecFormatError("grade of h must be a positive integer")
         names, grades = [], []
         for name, grade in generators:
-            grade = int(grade)
+            grade = as_int(grade, "grade")
             if grade < 0:
                 raise SpecFormatError(f"generator {name} has negative grade")
             names.append(str(name))
@@ -135,7 +135,7 @@ class LoopSpec:
             seen = set()
             cooked = []
             for k, coeff, hpow in terms:
-                k, hpow = int(k), int(hpow)
+                k, hpow = as_int(k, "k"), as_int(hpow, "hpow")
                 coeff = as_fraction(coeff)
                 if not 0 <= k < n:
                     raise SpecFormatError(f"bracket target {k} out of range")
@@ -259,11 +259,11 @@ class LoopSpec:
             generators = [(g["name"], g["grade"]) for g in data["generators"]]
             table = {}
             for entry in data.get("brackets", []):
-                i, j = int(entry["i"]), int(entry["j"])
+                i, j = as_int(entry["i"], "i"), as_int(entry["j"], "j")
                 if i >= j:
                     raise SpecFormatError(f"bracket entry requires i < j, got ({i},{j})")
                 table.setdefault((i, j), []).extend(
-                    (int(t["k"]), Fraction(t["c"]), int(t.get("hpow", 0)))
+                    (t["k"], Fraction(t["c"]), t.get("hpow", 0))
                     for t in entry["terms"]
                 )
             return cls(s, generators, table, selection=data.get("selection"))
@@ -366,8 +366,9 @@ def embedding_check(sub: LoopSpec, host: LoopSpec, gen_map, window=None) -> Embe
 
     gen_map lists, per sub generator, a (host index, level offset) pair:
     h**n X_i maps to h**(n + offset_i) Y_(host index).  Grades must be
-    preserved and every sub base bracket must map termwise onto the host
-    bracket of the images.  Both sides of a bracket at levels (n1, n2) are
+    preserved, no two sub generators may share a host tower (the map would
+    not be injective), and every sub base bracket must map termwise onto the
+    host bracket of the images.  Both sides of a bracket at levels (n1, n2) are
     the level-(0, 0) bracket shifted by n1 + n2, so each generator pair is
     checked once at levels (0, 0); the window bounds only the codimension
     bookkeeping in the report.
@@ -389,6 +390,8 @@ def embedding_check(sub: LoopSpec, host: LoopSpec, gen_map, window=None) -> Embe
                 f"grade of {sub.names[i]} is {sub.grades[i]}, image has grade "
                 f"{host.grades[tgt]} + {host.s}*{off}"
             )
+    if len({tgt for tgt, _ in gen_map}) != len(gen_map):
+        raise GradeMismatch("two sub generators map into the same host tower")
 
     def image(terms):
         acc: dict[tuple[int, int], Fraction] = {}

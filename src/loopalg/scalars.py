@@ -53,6 +53,13 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def as_int(value, what: str) -> int:
+    """An exact int: a float (3.0 included), a bool or a string is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def add_term(acc: dict, key, value) -> None:
     """acc[key] += value in a sparse map: a key whose sum is exactly zero is dropped."""
     total = acc[key] + value if key in acc else value

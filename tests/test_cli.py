@@ -222,8 +222,37 @@ _SPEC = {"s": 1, "generators": [{"name": "A", "grade": 0}, {"name": "B", "grade"
          "brackets": []}
 _TERM_INF = {"i": 0, "j": 1, "terms": [{"k": 1, "c": 1e999}]}  # JSON 1e999 reads as inf
 
-# each fails in the constructor, which the loader checks as well
+_BRACKET = {"i": 0, "j": 1, "terms": [{"k": 2, "c": "1"}]}
+_SPEC_TERM = {"i": 0, "j": 1, "terms": [{"k": 1, "c": "1", "hpow": 0}]}
+
+
+def _with(entry, key, value, term=False):
+    """A copy of a bracket entry with one field (of its first term) replaced."""
+    if term:
+        return {**entry, "terms": [{**entry["terms"][0], key: value}]}
+    return {**entry, key: value}
+
+
+# each fails in the loader or in the constructor, which the loader checks as well;
+# an integer field takes a JSON integer only (never a float, a bool or a string)
 MALFORMED_FILES = {
+    "dim_float": {"dim": 3.9},
+    "dim_integral_float": {"dim": 3.0},
+    "dim_bool": {"dim": True},
+    "i_bool": {"dim": 3, "brackets": [_with(_BRACKET, "i", False)]},
+    "j_float": {"dim": 3, "brackets": [_with(_BRACKET, "j", 1.7)]},
+    "k_float": {"dim": 3, "brackets": [_with(_BRACKET, "k", 2.2, term=True)]},
+    "k_string": {"dim": 3, "brackets": [_with(_BRACKET, "k", "2", term=True)]},
+    "s_float": {**_SPEC, "s": 2.5},
+    "s_bool": {**_SPEC, "s": True},
+    "grade_float": {**_SPEC, "generators": [{"name": "A", "grade": 0},
+                                            {"name": "B", "grade": 1.5}]},
+    "spec_i_float": {**_SPEC, "brackets": [_with(_SPEC_TERM, "i", 0.0)]},
+    "spec_j_string": {**_SPEC, "brackets": [_with(_SPEC_TERM, "j", "1")]},
+    "spec_k_float": {**_SPEC, "brackets": [_with(_SPEC_TERM, "k", 1.0, term=True)]},
+    "hpow_float": {**_SPEC, "brackets": [_with(_SPEC_TERM, "hpow", 0.9, term=True)]},
+    "selection_float": {**_SPEC, "selection": [0, 1.0]},
+    "selection_bool": {**_SPEC, "selection": [False, True]},
     "dim_not_int": {"dim": "x"},
     "names_not_list": {"dim": 3, "names": 5},
     "constant_inf": {"dim": 2, "brackets": [_TERM_INF]},
@@ -241,6 +270,17 @@ def test_malformed_input_file_exits_64_with_one_line(tmp_path, capsys, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(MALFORMED_FILES[name]))
     assert _rejected(*run(capsys, "validate", str(path)))
+
+
+def test_integer_fields_load_when_they_hold_integers(tmp_path, capsys):
+    # the well-formed versions of the files above: only the field type differs
+    algebra = {"dim": 3, "brackets": [_BRACKET]}
+    spec = {**_SPEC, "brackets": [_SPEC_TERM], "selection": [0, 1]}
+    for name, data in (("algebra", algebra), ("spec", spec)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 0 and not err and out.startswith("OK: "), name
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

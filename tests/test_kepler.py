@@ -34,6 +34,18 @@ def test_phase_point_domain():
         KeplerParams(m=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_point_must_be_finite(bad):
+    for slot in range(4):
+        coords = [1.0, 0.3, 0.1, 1.0]
+        coords[slot] = bad
+        with pytest.raises(InputError, match="must be finite"):
+            PhasePoint(*coords)
+        # a raw tuple goes through the same check
+        with pytest.raises(InputError, match="must be finite"):
+            poisson("H", "L", PARAMS, tuple(coords))
+
+
 def test_eval_examples():
     x = PhasePoint(1.0, 0.0, 0.0, 1.0)
     assert evaluate("H0", KeplerParams(1, 1, 0.5), x) == pytest.approx(-0.5)

@@ -4,6 +4,9 @@ Each reference below is the earlier implementation of a kernel:
 Gauss-Jordan elimination over Fraction, the dense adjoint table behind the
 structural invariants, and the basis change that multiplies PuiseuxScalars
 term by term.  The kernels must return exactly what the references return.
+The layered storage of ``LieAlgebra`` is checked the same way: its round
+trips, substitutions and rescalings against PuiseuxScalar arithmetic on
+each constant.
 """
 
 import itertools
@@ -15,6 +18,7 @@ import pytest
 from conftest import CLASSIFIED, NON_UNIMODULAR
 from loopalg import (
     LieAlgebra,
+    PuiseuxScalar,
     SymbolicAlgebra,
     algebra_from_matrices,
     bundled_spec,
@@ -23,6 +27,7 @@ from loopalg import (
     derived_subalgebra_dim,
     factor_algebra,
     killing_form,
+    rescale_basis,
     selection_ok,
     signature,
 )
@@ -265,3 +270,66 @@ def test_change_basis_matches_termwise_reference_on_symbolic_quotients():
                 assert changed.evaluate_at(eps).same_constants(family.evaluate_at(eps).change_basis(t))
     assert families > 30
 
+
+# -- layered storage ----------------------------------------------------------------
+
+def _changed_quotients():
+    """h2, l1 and l2 at every closed selection in [0, 2]^3, each also in a random basis."""
+    rng = random.Random(1907)
+    for name in ("h2", "l1", "l2"):
+        spec = bundled_spec(name)
+        for sel in itertools.product(range(3), repeat=3):
+            if selection_ok(spec, sel):
+                family = factor_algebra(spec, sel)
+                t = random_basis(rng, 3)
+                yield family, family.change_basis(t), t
+
+
+def ref_rescale(alg, w):
+    """Each constant times eps**(w_k - w_i - w_j), in PuiseuxScalar arithmetic."""
+    return {(i, j): {k: s * PuiseuxScalar.monomial(1, w[k] - w[i] - w[j]) for k, s in row.items()}
+            for (i, j), row in alg.brackets().items()}
+
+
+def test_storage_round_trips_through_the_public_forms():
+    count = 0
+    for _, alg, _ in _changed_quotients():
+        again = LieAlgebra(alg.dim, alg.brackets(), names=alg.names)
+        loaded = LieAlgebra.from_json(alg.to_json())
+        for other in (again, loaded):
+            assert other.same_constants(alg) and other.names == alg.names
+            assert other.structure_constants() == alg.structure_constants()
+            assert other.to_json() == alg.to_json()
+        assert alg.is_symbolic == any(
+            not s.is_constant() for row in alg.brackets().values() for s in row.values())
+        count += 1
+    assert count == 65
+
+
+def test_evaluate_at_matches_substituting_each_scalar():
+    for _, alg, _ in _changed_quotients():
+        for e in (1, Fraction(1, 4), 0, -1):
+            table = {ij: {k: s.substitute(e) for k, s in row.items()}
+                     for ij, row in alg.brackets().items()}
+            got = alg.evaluate_at(e)
+            assert got.same_constants(LieAlgebra(3, table))
+            assert got.constants_fraction() == {
+                (i, j, k): c for (i, j), row in table.items() for k, c in row.items() if c}
+
+
+def test_rescale_basis_matches_reference_and_inverts():
+    w = (Fraction(1, 2), 0, 1)
+    for _, alg, _ in _changed_quotients():
+        fam = rescale_basis(alg, w)
+        assert fam.same_constants(LieAlgebra(3, ref_rescale(alg, w), check=False))
+        assert rescale_basis(fam, [-x for x in w]).same_constants(alg)
+
+
+def test_inverse_basis_change_cancels_back_to_the_quotient():
+    # every constant the round trip creates cancels, and no zero entry or
+    # empty layer is left behind to tell the two apart
+    for family, alg, t in _changed_quotients():
+        back = alg.change_basis(invert_matrix(t))
+        assert back.same_constants(family)
+        assert back.structure_constants() == family.structure_constants()
+        assert repr(back) == repr(family)

@@ -325,6 +325,10 @@ def test_evaluate_at_exactness_errors():
     neg = rescale_basis(LieAlgebra(3, {(0, 1): {2: 1}}), (1, 0, 0))
     with pytest.raises(NegativeExponent):
         neg.evaluate_at(0)
+    # the message names the constant's own coefficient
+    neg3 = rescale_basis(LieAlgebra(3, {(0, 1): {2: 3}}), (1, 0, 0))
+    with pytest.raises(NegativeExponent, match=r"^term 3\*eps\^-1 diverges for eps -> 0$"):
+        neg3.evaluate_at(0)
 
 
 # -- embeddings ---------------------------------------------------------------------
@@ -355,6 +359,10 @@ def test_embedding_grade_mismatch(h2, l1):
         embedding_check(l1, h2, [(2, 1), (0, 1), (1, 1)])  # M2 -> h*A2 shifts grade
     with pytest.raises(GradeMismatch):
         embedding_check(l1, h2, [(2, 0), (0, 1)])  # not total
+    # h*X and Y would both map to h*Z: two towers into one is not injective
+    with pytest.raises(GradeMismatch, match="same host tower"):
+        embedding_check(LoopSpec(2, [("X", 0), ("Y", 2)], {}), LoopSpec(2, [("Z", 0)], {}),
+                        [(0, 0), (0, 1)], window=4)
 
 
 def test_embedding_bracket_mismatch(h2):
