@@ -43,7 +43,6 @@ from .loop import (
     embedding_check,
     factor_algebra,
     loop_bracket,
-    max_window,
     selection_ok,
 )
 from .kepler import (

@@ -149,7 +149,7 @@ def _cmd_contract(args):
 
 def _cmd_quotient(args):
     spec = _load_spec(args.file)
-    levels = _parse_ints(args.levels, "levels") if args.levels else None
+    levels = None if args.levels is None else _parse_ints(args.levels, "levels")
     alg = _at_eps(factor_algebra(spec, levels), args.eps)
     _emit(args, {"algebra": alg.to_json()}, _algebra_lines(alg))
     return OK

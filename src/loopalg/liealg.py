@@ -10,12 +10,13 @@ exponent q, and each operation is one pass over the layers: eps = 0 keeps
 the q = 0 layer (a negative q has no limit), another value of eps scales
 each layer by eps**q, a weighted rescaling shifts q, and a basis change
 transforms each layer on its own.  A :class:`~loopalg.scalars.PuiseuxScalar`
-is built only where a public method hands a constant out.  The Jacobi
-identity is checked exactly where input enters (direct construction and
-``from_json``), so every value of this type is a genuine Lie algebra
-(possibly depending on the parameter eps).  Operations whose results are Lie
-algebras by construction -- basis changes, rescalings, substitutions of eps,
-contraction limits, matrix commutators -- skip the re-check.
+is built only where a public method hands a constant out.  Every direct
+construction (``from_json`` included) checks the Jacobi identity exactly, so
+every value of this type is a genuine Lie algebra (possibly depending on the
+parameter eps).  Operations whose results are Lie algebras by construction --
+basis changes, rescalings, substitutions of eps, contraction limits, matrix
+commutators, loop quotients -- build their layers directly and skip the
+re-check.
 
 On top of the data type this module provides the structural toolbox used by
 the quotient/contraction pipeline: derived subalgebra and center dimensions,
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
-from .scalars import InputError, PuiseuxScalar, Rejected, add_term, as_fraction, as_int, signature
+from .scalars import InputError, PuiseuxScalar, Rejected, add_term, as_fraction, as_int, eps_power, signature
 
 CLASS_LABELS = ("so3", "so21", "e2", "e11", "heisenberg", "abelian3", "other")
 
@@ -97,21 +98,22 @@ class LieAlgebra:
     """Lie algebra stored as rational layers: ``_layers[q][(i, j, k)]`` is the
     eps**q coefficient of C_ij^k, with i < j, no zero entry and no empty layer."""
 
-    def __init__(self, dim, brackets, names=None, check=True):
+    def __init__(self, dim, brackets, names=None):
         self._dim, self._names = _shape(dim, names)
         layers: dict = {}
         for (i, j), terms in brackets.items():
+            i, j = as_int(i, "i"), as_int(j, "j")
             if not (0 <= i < j < self._dim):
                 raise AlgebraFormatError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
             for k, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+                k = as_int(k, "k")
                 if not 0 <= k < self._dim:
                     raise AlgebraFormatError(f"bracket target {k} out of range")
                 qc = coeff.terms if isinstance(coeff, PuiseuxScalar) else [(0, as_fraction(coeff))]
                 for q, c in qc:
                     add_term(layers.setdefault(q, {}), (i, j, k), c)
         self._layers = {q: layer for q, layer in layers.items() if layer}
-        if check:
-            self.validate()
+        self.validate()
 
     @classmethod
     def _from_layers(cls, dim, layers, names) -> "LieAlgebra":
@@ -192,10 +194,8 @@ class LieAlgebra:
         eps = as_fraction(eps)
         out: dict[tuple[int, int, int], Fraction] = {}
         for q, layer in self._layers.items():
-            # eps**q; substituting into the layer's first term raises what that
-            # scalar would (NegativeExponent names its coefficient, InexactPower)
-            c0 = next(iter(layer.values()))
-            power = PuiseuxScalar.monomial(c0, q).substitute(eps) / c0
+            # a diverging layer is named by its first term
+            power = eps_power(eps, q, next(iter(layer.values())))
             if power:
                 for key, c in layer.items():
                     add_term(out, key, c * power)
@@ -244,7 +244,7 @@ class LieAlgebra:
                 if i >= j:
                     raise AlgebraFormatError(f"bracket entry requires i < j, got ({i},{j})")
                 table.setdefault((i, j), []).extend(
-                    (as_int(t["k"], "k"), PuiseuxScalar.monomial(Fraction(t["c"]), Fraction(t.get("q", 0))))
+                    (t["k"], PuiseuxScalar.monomial(Fraction(t["c"]), Fraction(t.get("q", 0))))
                     for t in entry["terms"])
             return cls(data["dim"], table, names=data.get("names"))
         except (InputError, Rejected):

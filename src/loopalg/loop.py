@@ -9,9 +9,9 @@ central grading element h of grade s, and base brackets
 The algebra is spanned by the towers {h**n X_i : n >= 0}.  Levels only add
 under the bracket, so every structural check is made once at level 0: the
 Jacobi identity on the level-0 quotient, embeddings on each generator pair at
-levels (0, 0).  The truncation window (default 8 levels, override with the
-LOOPALG_MAX_LEVEL environment variable) bounds only the codimension
-bookkeeping of embeddings, never correctness.
+levels (0, 0).  The truncation window of an embedding check (the ``window``
+argument, default 8 levels) bounds only its codimension bookkeeping, never
+correctness.
 
 A :class:`TowerSelection` keeps, for each tower, only the levels >= m_i; the
 selected set is a subalgebra iff m_i + m_j + p >= m_k on every base term.
@@ -26,14 +26,13 @@ the same conditions on the m_i.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
 from .liealg import JacobiViolation, LieAlgebra
-from .scalars import InputError, PuiseuxScalar, Rejected, add_term, as_fraction, as_int
+from .scalars import InputError, Rejected, add_term, as_fraction, as_int
 
 DEFAULT_MAX_LEVEL = 8
 _BUNDLED = ("h2", "l1", "l2")
@@ -65,20 +64,6 @@ class BracketMismatch(Rejected):
     """A generator map does not carry base brackets to host brackets."""
 
 
-def max_window() -> int:
-    """Truncation window for enumerative checks (env LOOPALG_MAX_LEVEL overrides)."""
-    value = os.environ.get("LOOPALG_MAX_LEVEL")
-    if value is None:
-        return DEFAULT_MAX_LEVEL
-    try:
-        window = int(value)
-    except ValueError as exc:
-        raise SpecFormatError(f"LOOPALG_MAX_LEVEL must be an integer, got {value!r}") from exc
-    if window < 0:
-        raise SpecFormatError("LOOPALG_MAX_LEVEL must be nonnegative")
-    return window
-
-
 @dataclass(frozen=True)
 class LoopElement:
     """Homogeneous element sum c * h**n X_i, stored as (i, n, c) terms."""
@@ -92,7 +77,7 @@ class LoopElement:
     def _normalize(pairs) -> "LoopElement":
         acc: dict[tuple[int, int], Fraction] = {}
         for i, n, c in pairs:
-            key = (int(i), int(n))
+            key = (as_int(i, "generator index"), as_int(n, "level"))
             if key[1] < 0:
                 raise InputError("negative levels are not part of the positive loop algebra")
             add_term(acc, key, as_fraction(c))
@@ -325,12 +310,12 @@ def _class_name(name: str, level: int) -> str:
 def _level0_quotient(spec: LoopSpec, m) -> LieAlgebra:
     """Towers collapsed onto their level-m_i classes, constants
     coeff * eps**(m_i + m_j + p - m_k); unchecked, the caller validates."""
-    table = {
-        (i, j): {k: PuiseuxScalar.monomial(c, m[i] + m[j] + p - m[k]) for k, c, p in terms}
-        for (i, j), terms in spec.base_brackets().items()
-    }
+    layers: dict = {}
+    for (i, j), terms in spec.base_brackets().items():
+        for k, c, p in terms:
+            layers.setdefault(m[i] + m[j] + p - m[k], {})[i, j, k] = c
     names = [_class_name(n, lvl) for n, lvl in zip(spec.names, m)]
-    return LieAlgebra(spec.n_generators, table, names=names, check=False)
+    return LieAlgebra._from_layers(spec.n_generators, layers, names)
 
 
 def factor_algebra(spec: LoopSpec, selection=None) -> LieAlgebra:
@@ -361,7 +346,7 @@ class EmbeddingReport:
         return len(self.missing)
 
 
-def embedding_check(sub: LoopSpec, host: LoopSpec, gen_map, window=None) -> EmbeddingReport:
+def embedding_check(sub: LoopSpec, host: LoopSpec, gen_map, window=DEFAULT_MAX_LEVEL) -> EmbeddingReport:
     """Verify a grade-preserving map of sub towers into host towers.
 
     gen_map lists, per sub generator, a (host index, level offset) pair:
@@ -373,11 +358,9 @@ def embedding_check(sub: LoopSpec, host: LoopSpec, gen_map, window=None) -> Embe
     checked once at levels (0, 0); the window bounds only the codimension
     bookkeeping in the report.
     """
-    if window is None:
-        window = max_window()
     if sub.s != host.s:
         raise GradeMismatch(f"h grades differ: {sub.s} != {host.s}")
-    gen_map = [(int(t), int(o)) for t, o in gen_map]
+    gen_map = [(as_int(t, "host index"), as_int(o, "level offset")) for t, o in gen_map]
     if len(gen_map) != sub.n_generators:
         raise GradeMismatch("generator map must cover every sub generator")
     for i, (tgt, off) in enumerate(gen_map):
@@ -393,19 +376,12 @@ def embedding_check(sub: LoopSpec, host: LoopSpec, gen_map, window=None) -> Embe
     if len({tgt for tgt, _ in gen_map}) != len(gen_map):
         raise GradeMismatch("two sub generators map into the same host tower")
 
-    def image(terms):
-        acc: dict[tuple[int, int], Fraction] = {}
-        for i, n, c in terms:
-            add_term(acc, (gen_map[i][0], n + gen_map[i][1]), c)
-        return tuple((g, lvl, c) for (g, lvl), c in sorted(acc.items()))
-
     for i in range(sub.n_generators):
         for j in range(i + 1, sub.n_generators):
-            lhs = loop_bracket(
-                host, host.basis_element(*gen_map[i]), host.basis_element(*gen_map[j])
-            )
-            rhs = loop_bracket(sub, sub.basis_element(i), sub.basis_element(j))
-            if lhs.terms != image(rhs.terms):
+            lhs = host._bracket_raw({gen_map[i]: 1}, {gen_map[j]: 1})
+            rhs = sub._bracket_raw({(i, 0): 1}, {(j, 0): 1})
+            # the map is injective on towers, so relabelling merges no terms
+            if lhs != {(gen_map[k][0], lvl + gen_map[k][1]): c for (k, lvl), c in rhs.items()}:
                 raise BracketMismatch(
                     f"bracket of ({sub.names[i]},{sub.names[j]}) at levels "
                     "(0,0) does not map onto the host bracket"

@@ -69,6 +69,31 @@ def add_term(acc: dict, key, value) -> None:
         acc.pop(key, None)
 
 
+# An exact eps**q costs about max(|numerator(q)|, denominator(q)) times the
+# bit length of eps; past this many bits the input is refused, not computed.
+MAX_POWER_BITS = 1 << 16
+
+
+def eps_power(eps: Fraction, q, c) -> Fraction:
+    """Exact eps**q for a rational eps; eps = 0 takes the eps -> 0+ limit.
+
+    c is the coefficient of the term c*eps**q that needs the power: it only
+    names that term when the limit diverges (NegativeExponent).  A fractional
+    q needs eps to be an exact power (InexactPower), and a power q != 0 beyond
+    MAX_POWER_BITS is an InputError.
+    """
+    if eps == 0 or q == 0:  # the eps -> 0+ limit, or eps**0 = 1
+        if q < 0:
+            raise NegativeExponent(f"term {c}*eps^{q} diverges for eps -> 0")
+        return Fraction(1 if q == 0 else 0)
+    bits = eps.numerator.bit_length() + eps.denominator.bit_length()
+    if max(abs(q.numerator), q.denominator) * bits > MAX_POWER_BITS:
+        raise InputError(f"eps^({q}) at eps = {eps} exceeds the exact-power bound "
+                         f"of {MAX_POWER_BITS} bits")
+    root = eps if q.denominator == 1 else _nth_root_exact(eps, q.denominator)
+    return root ** q.numerator
+
+
 def _nth_root_exact(value: Fraction, n: int) -> Fraction:
     """Exact n-th root of a rational, or raise InexactPower."""
     if n <= 0:
@@ -155,13 +180,7 @@ class PuiseuxScalar:
 
     def limit_at_zero(self) -> Fraction:
         """Limit for eps -> 0+; defined iff all exponents are >= 0."""
-        out = Fraction(0)
-        for q, c in self._terms:
-            if q < 0:
-                raise NegativeExponent(f"term {c}*eps^{q} diverges for eps -> 0")
-            if q == 0:
-                out = c
-        return out
+        return self.substitute(0)
 
     def eval(self, eps: float) -> float:
         """Double-precision value at eps > 0."""
@@ -177,16 +196,7 @@ class PuiseuxScalar:
         otherwise InexactPower is raised.
         """
         eps = as_fraction(eps)
-        if eps == 0:
-            return self.limit_at_zero()
-        out = Fraction(0)
-        for q, c in self._terms:
-            if q.denominator == 1:
-                out += c * eps ** q.numerator
-            else:
-                root = _nth_root_exact(eps, q.denominator)
-                out += c * root ** q.numerator
-        return out
+        return sum((c * eps_power(eps, q, c) for q, c in self._terms), Fraction(0))
 
     def __add__(self, other):
         if not isinstance(other, PuiseuxScalar):

@@ -81,6 +81,27 @@ def test_selection_check_paths(capsys):
     assert code == 1 and "not closed" in err
 
 
+def test_empty_levels_is_a_usage_error(capsys):
+    for command in ("quotient", "selection-check"):
+        code, out, err = run(capsys, command, "h2.json", "--levels", "")
+        assert _rejected(code, out, err) and "levels" in err, command
+
+
+def test_eps_power_beyond_the_bound_exits_64(tmp_path, capsys):
+    # 2^q with q just above the bound: refused before it is computed
+    q = scalars.MAX_POWER_BITS // 3 + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "c": "1", "q": str(q)}]}]}))
+    code, out, err = run(capsys, "classify", str(path), "--eps", "2")
+    assert _rejected(code, out, err) and "exact-power bound" in err
+    code, out, err = run(capsys, "classify", str(path), "--eps", "0")
+    assert code == 0 and out.strip() == "abelian3"
+    levels = ",".join([str(q)] * 3)
+    code, out, err = run(capsys, "quotient", "h2.json", "--levels", levels, "--eps", "2")
+    assert _rejected(code, out, err) and "exact-power bound" in err
+
+
 def test_quotient_and_classify_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "quotient", "l1.json", "--format", "json")
     assert code == 0

@@ -131,7 +131,7 @@ def ref_change_basis(alg, t):
                         add_term(out, l, tinv[k][l] * s)
             if out:
                 table[(a, b)] = out
-    return LieAlgebra(n, table, names=alg.names, check=False)
+    return LieAlgebra(n, table, names=alg.names)
 
 
 # -- inputs ------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def test_rescale_basis_matches_reference_and_inverts():
     w = (Fraction(1, 2), 0, 1)
     for _, alg, _ in _changed_quotients():
         fam = rescale_basis(alg, w)
-        assert fam.same_constants(LieAlgebra(3, ref_rescale(alg, w), check=False))
+        assert fam.same_constants(LieAlgebra(3, ref_rescale(alg, w)))
         assert rescale_basis(fam, [-x for x in w]).same_constants(alg)
 
 

@@ -29,22 +29,25 @@ P = PuiseuxScalar
 
 # -- independent oracles -------------------------------------------------------
 
-def dense_constants(alg):
-    """Dense antisymmetric C[i][j][k] as floats, built from the public table."""
-    n = alg.dim
+def constant_table(alg):
+    """The public (i, j) -> {k: c} table of an eps-free algebra, as rationals."""
+    return {ij: {k: s.constant_value() for k, s in row.items()}
+            for ij, row in alg.brackets().items()}
+
+
+def dense_constants(n, table):
+    """Dense antisymmetric C[i][j][k] as floats, from an (i, j) -> {k: c} table, i < j."""
     c = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), row in alg.brackets().items():
-        for k, s in row.items():
-            v = float(s.constant_value())
-            c[i][j][k] = v
-            c[j][i][k] = -v
+    for (i, j), row in table.items():
+        for k, v in row.items():
+            c[i][j][k] = float(v)
+            c[j][i][k] = -float(v)
     return c
 
 
-def jacobi_residual_dense(alg):
-    """Brute-force max |sum_cyc C_bc^d C_ad^e| over all triples."""
-    c = dense_constants(alg)
-    n = alg.dim
+def jacobi_residual_dense(n, table):
+    """Brute-force max |sum_cyc C_bc^d C_ad^e| over all triples of a bracket table."""
+    c = dense_constants(n, table)
     worst = 0.0
     for a, b, x in itertools.product(range(n), repeat=3):
         for e in range(n):
@@ -58,8 +61,8 @@ def jacobi_residual_dense(alg):
 
 def killing_dense(alg):
     """Killing form from explicit float ad matrices: B_ab = trace(ad_a ad_b)."""
-    c = dense_constants(alg)
     n = alg.dim
+    c = dense_constants(n, constant_table(alg))
     ad = [[[c[a][d][e] for d in range(n)] for e in range(n)] for a in range(n)]
     return [
         [
@@ -82,7 +85,7 @@ def test_all_plus_cyclic_table_is_a_real_form():
     # so this is a genuine algebra (indefinite Killing form), not a violation
     alg = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {0: 1}})
     alg.validate()
-    assert jacobi_residual_dense(alg) == 0.0
+    assert jacobi_residual_dense(3, constant_table(alg)) == 0.0
     assert classify3(alg) == "so21"
 
 
@@ -90,8 +93,7 @@ def test_jacobi_violation_detected():
     with pytest.raises(JacobiViolation) as err:
         LieAlgebra(3, {(0, 1): {2: 1}, (1, 2): {1: 1}})
     assert err.value.triple == (0, 1, 2)
-    bad = LieAlgebra(3, {(0, 1): {2: 1}, (1, 2): {1: 1}}, check=False)
-    assert jacobi_residual_dense(bad) > 0
+    assert jacobi_residual_dense(3, {(0, 1): {2: 1}, (1, 2): {1: 1}}) > 0
 
 
 def test_validate_symbolic_family():
@@ -119,7 +121,7 @@ def test_validate_matches_dense_oracle_on_random_tables():
             valid = True
         except JacobiViolation:
             valid = False
-        dense = jacobi_residual_dense(LieAlgebra(3, table, check=False))
+        dense = jacobi_residual_dense(3, table)
         assert valid == (dense == 0.0)
 
 
@@ -379,6 +381,16 @@ def test_degenerate_dimensions():
         assert derived_subalgebra_dim(alg) == 0
         assert killing_form(alg) == [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
         assert contract(alg, [1] * alg.dim).same_constants(alg)
+
+
+@pytest.mark.parametrize("brackets", [
+    {(0, 1.5): {2: 1}}, {(0, True): {2: 1}}, {(0.0, 1): {2: 1}},
+    {(0, 1): {2.0: 1}}, {(0, 1): {True: 1}},
+])
+def test_bracket_indices_must_be_integers(brackets):
+    # a float (2.0 included) or a bool index is refused, as a float dim is
+    with pytest.raises(TypeError, match="must be an integer"):
+        LieAlgebra(3, brackets)
 
 
 def test_json_round_trip_and_format_errors():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from loopalg import (
+    CLASS_LABELS,
     InexactPower,
     LieAlgebra,
     LoopSpec,
@@ -18,7 +19,6 @@ from loopalg import (
     embedding_check,
     factor_algebra,
     loop_bracket,
-    max_window,
     rescale_basis,
     selection_ok,
 )
@@ -153,6 +153,12 @@ def test_loop_bracket_antisymmetry(h2):
     ab = loop_bracket(h2, a, b)
     ba = loop_bracket(h2, b, a)
     assert ab.terms == tuple((i, n, -c) for i, n, c in ba.terms)
+
+
+@pytest.mark.parametrize("term", [(0.9, 1, 1), (True, 1, 1), (1, 1.0, 1), (1, False, 1)])
+def test_element_indices_must_be_integers(h2, term):
+    with pytest.raises(TypeError, match="must be an integer"):
+        h2.element([term])
 
 
 def test_grade_conservation_random(h2, l1, l2):
@@ -374,6 +380,16 @@ def test_embedding_bracket_mismatch(h2):
             embedding_check(h2, h2, [(0, 0), (2, 0), (1, 0)], window=window)
 
 
+@pytest.mark.parametrize("gen_map", [
+    [(2.9, 0), (0, 1.7), (1, 1)],  # truncates to F1_MAP if coerced
+    [(2, 0.0), (0, 1), (1, 1)],
+    [(2, False), (0, True), (1, True)],
+])
+def test_embedding_map_entries_must_be_integers(h2, l1, gen_map):
+    with pytest.raises(TypeError, match="must be an integer"):
+        embedding_check(l1, h2, gen_map)
+
+
 def test_embedding_reports_per_window(h2, l1, l2):
     # the window bounds only the codimension bookkeeping
     expected = {
@@ -387,16 +403,6 @@ def test_embedding_reports_per_window(h2, l1, l2):
             assert report.window == window
             assert set(report.missing) == missing
             assert report.codimension == len(missing)
-
-
-def test_embedding_window_override(h2, l1, monkeypatch):
-    monkeypatch.setenv("LOOPALG_MAX_LEVEL", "4")
-    assert max_window() == 4
-    report = embedding_check(l1, h2, F1_MAP)
-    assert report.window == 4 and report.codimension == 2
-    monkeypatch.setenv("LOOPALG_MAX_LEVEL", "nope")
-    with pytest.raises(SpecFormatError):
-        max_window()
 
 
 # -- serialization ------------------------------------------------------------------
@@ -423,3 +429,26 @@ def test_malformed_spec_errors():
         LoopSpec.from_json(bad)
     with pytest.raises(SpecFormatError):
         bundled_spec("h3")
+
+
+# -- the quotient pipeline works on rational layers ---------------------------------
+
+def test_quotient_pipeline_builds_no_puiseux_scalar(h2, l1, l2, monkeypatch):
+    # quotients, eps-substitution, classification and embeddings never pass
+    # through the public scalar type
+    def refuse(self, terms=None):
+        raise AssertionError("PuiseuxScalar built inside the quotient pipeline")
+
+    monkeypatch.setattr(PuiseuxScalar, "__init__", refuse)
+    closed = 0
+    for spec in (h2, l1, l2):
+        for sel in itertools.product(range(3), repeat=3):
+            if not selection_ok(spec, sel):
+                continue
+            closed += 1
+            fam = factor_algebra(spec, sel)
+            for eps in (1, Fraction(1, 4), 0, -1):
+                assert classify3(fam.evaluate_at(eps)) in CLASS_LABELS
+    assert closed > 0
+    assert embedding_check(l1, h2, F1_MAP, window=8).codimension == 2
+    assert embedding_check(l2, h2, F2_MAP, window=8).codimension == 3

@@ -5,12 +5,14 @@ import pytest
 
 from loopalg import (
     InexactPower,
+    InputError,
     NegativeExponent,
     NonPositiveEval,
     NotSymmetric,
     PuiseuxScalar,
     signature,
 )
+from loopalg.scalars import MAX_POWER_BITS
 
 P = PuiseuxScalar
 
@@ -68,6 +70,17 @@ def test_exact_substitution():
         P.monomial(1, -1).substitute(0)
     # eps = 0 takes the one-sided limit
     assert (P.constant(2) + P.monomial(9, 3)).substitute(0) == 2
+
+
+def test_exact_powers_are_bounded_before_any_arithmetic():
+    # eps = 2 has 3 bits (numerator and denominator), so q = n costs 3n bits
+    top = MAX_POWER_BITS // 3
+    assert P.monomial(1, top).substitute(2) == 2 ** top
+    assert P.monomial(1, top + 1).substitute(0) == 0  # eps = 0 is exempt
+    assert P.constant(5).substitute(Fraction(10) ** 30000) == 5  # and so is q = 0
+    for q in (top + 1, -(top + 1), Fraction(1, top + 1), Fraction(2 * top + 1, 2)):
+        with pytest.raises(InputError, match="exact-power bound"):
+            P.monomial(1, q).substitute(2)
 
 
 def test_arithmetic_merges_and_drops_zeros():
