@@ -32,8 +32,10 @@ Brackets are evaluated by central finite differences,
 with per-coordinate step  step * max(1, |coordinate|); the default step
 1e-6 puts the second-order truncation error far below the default relative
 tolerance of 1e-5.  The identity suite and the loop-spec cross-check share
-one relation form and one sample loop: each observable's gradient is taken
-once per sample point and shared by every identity that uses it.
+one relation form and one sample loop.  At each sample point all named
+observables are evaluated together at the centre and at the 8 stencil
+points, so one stencil gives every named gradient; a closure operand keeps
+its own stencil.
 """
 
 from __future__ import annotations
@@ -105,85 +107,75 @@ class PhasePoint:
 
 
 @functools.lru_cache(maxsize=32)
-def _bind_all(params: KeplerParams):
-    """Closed-form observables as fast closures over raw coordinates."""
+def _bind(params: KeplerParams):
+    """All observables at one raw point, as a tuple in OBSERVABLE_NAMES order."""
     m, alpha, beta = params.m, params.alpha, params.beta
+    two_m, minus_two_m, m_alpha, m_beta = 2 * m, -2 * m, m * alpha, m * beta
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
 
-    def H0(r, phi, pr, pphi):
-        return (pr * pr + (pphi * pphi) / (r * r)) / (2 * m) - alpha / r
+    def values(r, phi, pr, pphi):
+        c, s, c2, s2, u = cos(phi), sin(phi), cos(phi / 2), sin(phi / 2), sqrt(r)
+        H0 = (pr * pr + (pphi * pphi) / (r * r)) / two_m - alpha / r
+        H = H0 - beta * c2 / u
+        h = minus_two_m * H
+        A1 = pphi * (pr * s + pphi * c / r) - m_alpha * c
+        A2 = -pphi * (pr * c - pphi * s / r) - m_alpha * s
+        M1 = A1 + m_beta * u * s2 * s
+        M2 = A2 - m_beta * u * s2 * c
+        S = h * pphi - m_beta * (pr * u * s2 + pphi * c2 / u)
+        return H0, H, pphi, A1, A2, M1, M2, S, h * M1 - m_beta ** 2 / 2, h * M2, h
 
-    def H(r, phi, pr, pphi):
-        return H0(r, phi, pr, pphi) - beta * cos(phi / 2) / sqrt(r)
-
-    def h(r, phi, pr, pphi):
-        return -2 * m * H(r, phi, pr, pphi)
-
-    def L(r, phi, pr, pphi):
-        return pphi
-
-    def A1(r, phi, pr, pphi):
-        p_y = pr * sin(phi) + pphi * cos(phi) / r
-        return pphi * p_y - m * alpha * cos(phi)
-
-    def A2(r, phi, pr, pphi):
-        p_x = pr * cos(phi) - pphi * sin(phi) / r
-        return -pphi * p_x - m * alpha * sin(phi)
-
-    def M1(r, phi, pr, pphi):
-        return A1(r, phi, pr, pphi) + m * beta * sqrt(r) * sin(phi / 2) * sin(phi)
-
-    def M2(r, phi, pr, pphi):
-        return A2(r, phi, pr, pphi) - m * beta * sqrt(r) * sin(phi / 2) * cos(phi)
-
-    def S(r, phi, pr, pphi):
-        return h(r, phi, pr, pphi) * pphi - m * beta * (
-            pr * sqrt(r) * sin(phi / 2) + pphi * cos(phi / 2) / sqrt(r)
-        )
-
-    def N1(r, phi, pr, pphi):
-        return h(r, phi, pr, pphi) * M1(r, phi, pr, pphi) - (m * beta) ** 2 / 2
-
-    def N2(r, phi, pr, pphi):
-        return h(r, phi, pr, pphi) * M2(r, phi, pr, pphi)
-
-    return {
-        "H0": H0, "H": H, "h": h, "L": L, "A1": A1, "A2": A2,
-        "M1": M1, "M2": M2, "S": S, "N1": N1, "N2": N2,
-    }
+    return values
 
 
-def evaluate(obs, params: KeplerParams, point: PhasePoint) -> float:
-    """Closed-form value of an observable (by name or raw closure) at a point."""
-    return _resolve(obs, params)(*point.astuple())
-
-
-def _resolve(obs, params):
+def _key(obs):
+    """An observable as its index in OBSERVABLE_NAMES (by name) or as a raw closure."""
     if isinstance(obs, str):
         if obs not in OBSERVABLE_NAMES:
             raise KeyError(f"unknown observable {obs!r}; choose from {OBSERVABLE_NAMES}")
-        return _bind_all(params)[obs]
+        return OBSERVABLE_NAMES.index(obs)
     if callable(obs):
         return obs
     raise TypeError(f"not an observable: {obs!r}")
 
 
-def _partials(fn, x, step):
-    """Central-difference gradient of fn at raw point x = (r, phi, pr, pphi)."""
+def evaluate(obs, params: KeplerParams, point: PhasePoint) -> float:
+    """Closed-form value of an observable (by name or raw closure) at a point."""
+    key, x = _key(obs), point.astuple()
+    return key(*x) if callable(key) else _bind(params)(*x)[key]
+
+
+def _stencil(fn, x, step):
+    """(fn(x + d e_i), fn(x - d e_i), 2 d) for each coordinate i, d = step * max(1, |x_i|)."""
     out = []
     for i in range(4):
         d = step * max(1.0, abs(x[i]))
-        xp = list(x)
-        xm = list(x)
+        xp, xm = list(x), list(x)
         xp[i] += d
         xm[i] -= d
-        out.append((fn(*xp) - fn(*xm)) / (2 * d))
+        out.append((fn(*xp), fn(*xm), 2 * d))
     return out
 
 
+def _partials(fn, x, step):
+    """Central-difference gradient of a raw closure at x = (r, phi, pr, pphi)."""
+    return [(fp - fm) / dd for fp, fm, dd in _stencil(fn, x, step)]
+
+
+def _gradients(keys, values, x, step):
+    """{key: gradient at x}: every named key from one stencil of values, a closure from its own."""
+    grad, cols = {}, None
+    for key in keys:
+        if callable(key):
+            grad[key] = _partials(key, x, step)
+        else:
+            cols = cols or _stencil(values, x, step)
+            grad[key] = [(vp[key] - vm[key]) / dd for vp, vm, dd in cols]
+    return grad
+
+
 def _check_boundary(x, step):
-    dr = step * max(1.0, abs(x[0]))
-    dphi = step * max(1.0, abs(x[1]))
+    dr, dphi = (step * max(1.0, abs(v)) for v in x[:2])
     if x[0] - dr <= 0 or abs(x[1]) + dphi >= math.pi:
         raise BoundaryTooClose(
             f"point (r={x[0]}, phi={x[1]}) is within one stencil step of the domain boundary"
@@ -207,11 +199,11 @@ def poisson_fn(f, g, params: KeplerParams, step: float = 1e-6):
     Nesting finite differences amplifies roundoff, so outer brackets over a
     poisson_fn should use a larger step (1e-4 works well) than the inner one.
     """
-    fr, gr = _resolve(f, params), _resolve(g, params)
+    kf, kg, values = _key(f), _key(g), _bind(params)
 
     def value(r, phi, pr, pphi):
-        x = (r, phi, pr, pphi)
-        return _bracket_from_partials(_partials(fr, x, step), _partials(gr, x, step))
+        grad = _gradients({kf: None, kg: None}, values, (r, phi, pr, pphi), step)
+        return _bracket_from_partials(grad[kf], grad[kg])
 
     return value
 
@@ -279,29 +271,32 @@ class OracleReport:
         return out
 
 
-def _run_identities(identities, h, points, tol, step, n_raising):
+def _run_identities(identities, params, points, tol, step, n_raising):
     """Worst relative residual of each (name, f, g, terms) row over points.
 
-    A row over raw closures states {f, g} = sum float(c) * h(x)**p * X(x)
-    over its (c, p, X) terms.  The loop is point-major: at each point every
-    distinct operand's gradient and every distinct closure's value is taken
-    once and shared by all rows.  The first n_raising rows raise
-    IdentityFailed at the first failing sample (the first failing row there);
-    the others are only reported.
+    A row over observable keys (see _key) states {f, g} = sum float(c) *
+    h(x)**p * X(x) over its (c, p, X) terms.  The loop is point-major: at each
+    point the gradients (see _gradients) and values are taken once and shared
+    by all rows.  The first n_raising rows raise IdentityFailed at the first
+    failing sample (the first failing row there); the others are only reported.
     """
     if not 0 <= tol < math.inf:
         raise InputError(f"tol must be finite and nonnegative, got {tol}")
-    operands = {fn: None for _, f, g, _ in identities for fn in (f, g)}
-    closures = {h: None, **operands}
-    closures.update((fn, None) for *_, terms in identities for _, _, fn in terms)
-    worst = [0.0] * len(identities)
+    values, h = _bind(params), _key("h")
+    rows = [(name, f, g, [(float(c), p, x) for c, p, x in terms])
+            for name, f, g, terms in identities]
+    operands = {key: None for _, f, g, _ in rows for key in (f, g)}
+    closures = {fn: None for _, f, g, terms in rows
+                for fn in (f, g, *(x for *_, x in terms)) if callable(fn)}
+    worst = [0.0] * len(rows)
     for x in points:
-        grad = {fn: _partials(fn, x, step) for fn in operands}
-        val = {fn: fn(*x) for fn in closures}
+        grad = _gradients(operands, values, x, step)
+        val = dict(enumerate(values(*x)))
+        val.update((fn, fn(*x)) for fn in closures)
         hv = val[h]
-        for i, (name, f, g, terms) in enumerate(identities):
+        for i, (name, f, g, terms) in enumerate(rows):
             lhs = _bracket_from_partials(grad[f], grad[g])
-            want = sum(float(c) * hv ** p * val[fn] for c, p, fn in terms)
+            want = sum(c * hv ** p * val[fn] for c, p, fn in terms)
             scale = max(1.0, abs(lhs), abs(want), abs(val[f]), abs(val[g]))
             res = abs(lhs - want) / scale
             if res > worst[i] or math.isnan(res):  # once NaN, worst stays NaN
@@ -309,7 +304,7 @@ def _run_identities(identities, h, points, tol, step, n_raising):
             if i < n_raising and not res <= tol:
                 raise IdentityFailed(name, x, res)
     return [IdentityResult(row[0], len(points), res, res <= tol)
-            for row, res in zip(identities, worst)]
+            for row, res in zip(rows, worst)]
 
 
 def identity_suite(
@@ -330,12 +325,12 @@ def identity_suite(
     fail_fast, IdentityFailed is raised at the first failing sample; the
     m*beta variant, which fails by design unless alpha == beta, never raises.
     """
-    F = _bind_all(params)
+    values = _bind(params)
     m, alpha, beta = params.m, params.alpha, params.beta
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
 
     def h0_L(r, phi, pr, pphi):  # {A1, A2} is graded by the unperturbed h0
-        return -2 * m * F["H0"](r, phi, pr, pphi) * pphi
+        return -2 * m * values(r, phi, pr, pphi)[0] * pphi  # [0] is H0
 
     def M1_beta_variant(r, phi, pr, pphi):  # M1 with an m*beta radial term
         return (pphi * pphi / r - m * beta) * cos(phi) + (
@@ -356,11 +351,10 @@ def identity_suite(
         ("{N2,S}=h*N1", "N2", "S", [(1, 1, "N1")]),
         ("{S,N1}=h*N2", "S", "N1", [(1, 1, "N2")]),
     ]
-    bind = functools.partial(_resolve, params=params)
-    rows = [(name, bind(f), bind(g), [(c, p, bind(x)) for c, p, x in terms])
+    rows = [(name, _key(f), _key(g), [(c, p, _key(x)) for c, p, x in terms])
             for name, f, g, terms in table]
-    variant_row = ("{H,M1 with m*beta radial term}=0", F["H"], M1_beta_variant, ())
-    *results, variant = _run_identities(rows + [variant_row], F["h"],
+    variant_row = ("{H,M1 with m*beta radial term}=0", _key("H"), M1_beta_variant, ())
+    *results, variant = _run_identities(rows + [variant_row], params,
                                         sample_points(samples, seed), tol, step,
                                         len(rows) if fail_fast else 0)
     radial_term = {
@@ -391,14 +385,13 @@ def cross_check_loop_spec(
     poisson(bind i, bind j) = sum c * h(x)**p * bind k (x).
     """
     names = spec.names
-    bound = {name: _resolve(binding[name], params) for name in names}
+    bound = {name: _key(binding[name]) for name in names}
     rows = []
     for (i, j), terms in sorted(spec.base_brackets().items()):
         label = " + ".join(f"{c}*h^{p}*{names[k]}" if p else f"{c}*{names[k]}"
                            for k, c, p in terms)
         rows.append((f"{{{names[i]},{names[j]}}}={label}", bound[names[i]], bound[names[j]],
                      [(c, p, bound[names[k]]) for k, c, p in terms]))
-    points = sample_points(samples, seed)
-    results = _run_identities(rows, _bind_all(params)["h"], points, tol, step,
+    results = _run_identities(rows, params, sample_points(samples, seed), tol, step,
                               len(rows) if fail_fast else 0)
     return OracleReport(params, samples, seed, tol, tuple(results))

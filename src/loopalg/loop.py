@@ -169,13 +169,18 @@ class LoopSpec:
         return {ij: tuple(terms) for ij, terms in self._brackets.items()}
 
     def grade_of(self, i: int, level: int) -> int:
+        if not 0 <= i < len(self._grades):
+            raise InputError(f"generator index {i} out of range 0..{len(self._grades) - 1}")
         return self._grades[i] + self._s * level
 
     # -- elements ----------------------------------------------------------
 
     def element(self, pairs) -> LoopElement:
         """Build a homogeneous element from (generator, level, coeff) terms."""
+        pairs = list(pairs)
         elem = LoopElement._normalize(pairs)
+        for i, n, _ in pairs:  # a term with a zero coefficient still names a generator
+            self.grade_of(i, n)
         self.element_grade(elem)
         return elem
 

@@ -14,6 +14,7 @@ powers of negative numbers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -183,10 +184,21 @@ class PuiseuxScalar:
         return self.substitute(0)
 
     def eval(self, eps: float) -> float:
-        """Double-precision value at eps > 0."""
+        """Double-precision value at eps > 0; Rejected unless every term and the sum are finite."""
         if eps <= 0:
             raise NonPositiveEval(f"eps must be positive, got {eps}")
-        return sum(float(c) * float(eps) ** float(q) for q, c in self._terms)
+        values = []
+        for q, c in self._terms:
+            try:
+                values.append(float(c) * float(eps) ** float(q))
+            except OverflowError:
+                values.append(math.inf)
+            if not math.isfinite(values[-1]):
+                raise Rejected(f"term {PuiseuxScalar([(q, c)])} is not a finite double at eps={eps}")
+        total = sum(values)
+        if not math.isfinite(total):
+            raise Rejected(f"{self} is not a finite double at eps={eps}")
+        return total
 
     def substitute(self, eps: RationalLike) -> Fraction:
         """Exact value at a rational eps.

@@ -1,0 +1,263 @@
+"""The Kepler oracle against the closure-per-observable algorithm it replaced.
+
+The references below are the earlier implementation: one nested closure per
+observable (N1 calls h, which calls H, which calls H0), a central-difference
+gradient taken per operand per sample point, and the sample loop over those
+closures.  The oracle evaluates every named observable together, so the
+values, the brackets and every report must equal the references exactly,
+float for float.
+"""
+
+import math
+
+import pytest
+
+from loopalg import (
+    IdentityFailed,
+    KeplerParams,
+    PhasePoint,
+    bundled_spec,
+    cross_check_loop_spec,
+    evaluate,
+    identity_suite,
+    poisson,
+    poisson_fn,
+    sample_points,
+)
+from loopalg.kepler import OBSERVABLE_NAMES, IdentityResult
+
+PARAM_SETS = (KeplerParams(1, 1, 0.5), KeplerParams(1, 1, 0), KeplerParams(2, 0.5, 0.75),
+              KeplerParams(0.3, 2.5, -1.7))
+
+
+# -- references ------------------------------------------------------------------
+
+def reference_observables(params):
+    """One closure per observable over raw coordinates (r, phi, pr, pphi)."""
+    m, alpha, beta = params.m, params.alpha, params.beta
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+
+    def H0(r, phi, pr, pphi):
+        return (pr * pr + (pphi * pphi) / (r * r)) / (2 * m) - alpha / r
+
+    def H(r, phi, pr, pphi):
+        return H0(r, phi, pr, pphi) - beta * cos(phi / 2) / sqrt(r)
+
+    def h(r, phi, pr, pphi):
+        return -2 * m * H(r, phi, pr, pphi)
+
+    def L(r, phi, pr, pphi):
+        return pphi
+
+    def A1(r, phi, pr, pphi):
+        p_y = pr * sin(phi) + pphi * cos(phi) / r
+        return pphi * p_y - m * alpha * cos(phi)
+
+    def A2(r, phi, pr, pphi):
+        p_x = pr * cos(phi) - pphi * sin(phi) / r
+        return -pphi * p_x - m * alpha * sin(phi)
+
+    def M1(r, phi, pr, pphi):
+        return A1(r, phi, pr, pphi) + m * beta * sqrt(r) * sin(phi / 2) * sin(phi)
+
+    def M2(r, phi, pr, pphi):
+        return A2(r, phi, pr, pphi) - m * beta * sqrt(r) * sin(phi / 2) * cos(phi)
+
+    def S(r, phi, pr, pphi):
+        return h(r, phi, pr, pphi) * pphi - m * beta * (
+            pr * sqrt(r) * sin(phi / 2) + pphi * cos(phi / 2) / sqrt(r)
+        )
+
+    def N1(r, phi, pr, pphi):
+        return h(r, phi, pr, pphi) * M1(r, phi, pr, pphi) - (m * beta) ** 2 / 2
+
+    def N2(r, phi, pr, pphi):
+        return h(r, phi, pr, pphi) * M2(r, phi, pr, pphi)
+
+    return {
+        "H0": H0, "H": H, "h": h, "L": L, "A1": A1, "A2": A2,
+        "M1": M1, "M2": M2, "S": S, "N1": N1, "N2": N2,
+    }
+
+
+def reference_partials(fn, x, step):
+    out = []
+    for i in range(4):
+        d = step * max(1.0, abs(x[i]))
+        xp = list(x)
+        xm = list(x)
+        xp[i] += d
+        xm[i] -= d
+        out.append((fn(*xp) - fn(*xm)) / (2 * d))
+    return out
+
+
+def bracket(pf, pg):
+    return pf[0] * pg[2] - pf[2] * pg[0] + pf[1] * pg[3] - pf[3] * pg[1]
+
+
+def reference_run(rows, h, points, tol, step, n_raising):
+    """The sample loop over (name, f, g, [(c, p, X)]) rows of raw closures."""
+    operands = {fn: None for _, f, g, _ in rows for fn in (f, g)}
+    closures = {h: None, **operands}
+    closures.update((fn, None) for *_, terms in rows for _, _, fn in terms)
+    worst = [0.0] * len(rows)
+    for x in points:
+        grad = {fn: reference_partials(fn, x, step) for fn in operands}
+        val = {fn: fn(*x) for fn in closures}
+        hv = val[h]
+        for i, (name, f, g, terms) in enumerate(rows):
+            lhs = bracket(grad[f], grad[g])
+            want = sum(float(c) * hv ** p * val[fn] for c, p, fn in terms)
+            scale = max(1.0, abs(lhs), abs(want), abs(val[f]), abs(val[g]))
+            res = abs(lhs - want) / scale
+            if res > worst[i] or math.isnan(res):
+                worst[i] = res
+            if i < n_raising and not res <= tol:
+                raise IdentityFailed(name, x, res)
+    return [IdentityResult(row[0], len(points), res, res <= tol)
+            for row, res in zip(rows, worst)]
+
+
+def reference_suite(params, samples, seed, tol=1e-5, step=1e-6, fail_fast=False):
+    """(identity results, m*beta variant result) of the identity suite."""
+    F = reference_observables(params)
+    m, beta = params.m, params.beta
+
+    def h0_L(r, phi, pr, pphi):
+        return -2 * m * F["H0"](r, phi, pr, pphi) * pphi
+
+    def M1_beta_variant(r, phi, pr, pphi):
+        return (pphi * pphi / r - m * beta) * math.cos(phi) + (
+            pr * pphi + m * beta * math.sqrt(r) * math.sin(phi / 2)
+        ) * math.sin(phi)
+
+    conserved = ("M1", "M2", "S", "N1", "N2") + (("L",) if beta == 0 else ())
+    table = [(f"{{H,{x}}}=0", "H", x, ()) for x in conserved] + [
+        ("{L,A1}=A2", "L", "A1", [(1, 0, "A2")]),
+        ("{A2,L}=A1", "A2", "L", [(1, 0, "A1")]),
+        ("{A1,A2}=h0*L", "A1", "A2", [(1, 0, h0_L)]),
+        ("{M1,M2}=S", "M1", "M2", [(1, 0, "S")]),
+        ("{S,M1}=h*M2", "S", "M1", [(1, 1, "M2")]),
+        ("{M2,S}=h*M1-(m*beta)^2/2", "M2", "S", [(1, 0, "N1")]),
+        ("{N1,M2}=h*S", "N1", "M2", [(1, 1, "S")]),
+        ("{S,N1}=h^2*M2", "S", "N1", [(1, 2, "M2")]),
+        ("{N1,N2}=h^2*S", "N1", "N2", [(1, 2, "S")]),
+        ("{N2,S}=h*N1", "N2", "S", [(1, 1, "N1")]),
+        ("{S,N1}=h*N2", "S", "N1", [(1, 1, "N2")]),
+    ]
+
+    def bind(obs):
+        return F[obs] if isinstance(obs, str) else obs
+
+    rows = [(name, bind(f), bind(g), [(c, p, bind(x)) for c, p, x in terms])
+            for name, f, g, terms in table]
+    rows.append(("{H,M1 with m*beta radial term}=0", F["H"], M1_beta_variant, ()))
+    *results, variant = reference_run(rows, F["h"], sample_points(samples, seed), tol, step,
+                                      len(rows) - 1 if fail_fast else 0)
+    return results, variant
+
+
+def reference_cross(spec, binding, params, samples, seed, tol=1e-5, step=1e-6, fail_fast=False):
+    F = reference_observables(params)
+    names = spec.names
+    bound = {n: F[binding[n]] if isinstance(binding[n], str) else binding[n] for n in names}
+    rows = []
+    for (i, j), terms in sorted(spec.base_brackets().items()):
+        label = " + ".join(f"{c}*h^{p}*{names[k]}" if p else f"{c}*{names[k]}"
+                           for k, c, p in terms)
+        rows.append((f"{{{names[i]},{names[j]}}}={label}", bound[names[i]], bound[names[j]],
+                     [(c, p, bound[names[k]]) for k, c, p in terms]))
+    return reference_run(rows, F["h"], sample_points(samples, seed), tol, step,
+                         len(rows) if fail_fast else 0)
+
+
+def raw(name, params):
+    """A user closure for one observable, built from the reference formulas."""
+    fn = reference_observables(params)[name]
+    return lambda r, phi, pr, pphi: fn(r, phi, pr, pphi)
+
+
+BINDINGS = (
+    ("h2", {"L": "L", "A1": "A1", "A2": "A2"}),
+    ("l1", {"M2": "M2", "S": "S", "N1": "N1"}),
+    ("l2", {"N1": "N1", "N2": "N2", "S": "S"}),
+    ("l1", {"M2": "M2", "S": "S", "N1": "N2"}),  # the wrong binding
+)
+
+
+# -- tests -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_evaluate_matches_reference_closures(params):
+    ref = reference_observables(params)
+    assert set(ref) == set(OBSERVABLE_NAMES)
+    for x in sample_points(200, 5):
+        pt = PhasePoint(*x)
+        for name in OBSERVABLE_NAMES:
+            assert evaluate(name, params, pt) == ref[name](*x), (name, x)
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_poisson_matches_reference_gradients(params):
+    ref = reference_observables(params)
+    user_s = raw("S", params)
+    for x in sample_points(20, 6):
+        for f, g in (("M1", "M2"), ("H", "N1"), ("L", "A1"), (user_s, "N2"), ("S", "S")):
+            rf, rg = ref.get(f, f), ref.get(g, g)
+            want = bracket(reference_partials(rf, x, 1e-6), reference_partials(rg, x, 1e-6))
+            assert poisson(f, g, params, x) == want
+        inner = poisson_fn("M1", "M2", params)
+
+        def ref_inner(*y):
+            return bracket(reference_partials(ref["M1"], y, 1e-6),
+                           reference_partials(ref["M2"], y, 1e-6))
+
+        want = bracket(reference_partials(ref_inner, x, 1e-4), reference_partials(ref["H"], x, 1e-4))
+        assert poisson(inner, "H", params, x, step=1e-4) == want
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+@pytest.mark.parametrize("seed", [0, 9])
+def test_identity_suite_matches_reference(params, seed):
+    for tol in (1e-5, 1e-12):
+        report = identity_suite(params, samples=40, seed=seed, tol=tol)
+        results, variant = reference_suite(params, 40, seed, tol=tol)
+        assert list(report.identities) == results
+        assert report.radial_term["m_beta_variant_max_rel_residual"] == variant.max_rel_residual
+        assert report.radial_term["variant_conserved"] == variant.passed
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_cross_check_matches_reference(params):
+    mixed = (
+        ("l1", {"M2": raw("M2", params), "S": "S", "N1": raw("N1", params)}),
+        ("l2", {"N1": "N1", "N2": raw("N2", params), "S": raw("S", params)}),
+    )
+    for name, binding in BINDINGS + mixed:
+        spec = bundled_spec(name)
+        for seed in (0, 4):
+            report = cross_check_loop_spec(spec, binding, params, samples=30, seed=seed)
+            assert list(report.identities) == reference_cross(spec, binding, params, 30, seed)
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_fail_fast_raises_like_reference(params):
+    def raised(call):
+        try:
+            call()
+        except IdentityFailed as exc:
+            return exc.name, exc.point, exc.residual
+        return None
+
+    wrong = BINDINGS[-1][1]
+    pairs = (
+        (lambda: identity_suite(params, samples=30, seed=2, tol=1e-9, fail_fast=True),
+         lambda: reference_suite(params, 30, 2, tol=1e-9, fail_fast=True)),
+        (lambda: cross_check_loop_spec(bundled_spec("l1"), wrong, params, samples=30, seed=2,
+                                       fail_fast=True),
+         lambda: reference_cross(bundled_spec("l1"), wrong, params, 30, 2, fail_fast=True)),
+    )
+    for ours, reference in pairs:
+        assert raised(ours) == raised(reference)
+    assert raised(pairs[1][1]) is not None  # the wrong binding fails at some sample

@@ -8,7 +8,9 @@ import pytest
 from loopalg import (
     CLASS_LABELS,
     InexactPower,
+    InputError,
     LieAlgebra,
+    LoopElement,
     LoopSpec,
     NegativeExponent,
     PuiseuxScalar,
@@ -143,6 +145,22 @@ def test_loop_bracket_examples(h2, l1):
     # {h^2 A1, h A2} = h^4 L
     out = loop_bracket(h2, h2.basis_element(1, 2), h2.basis_element(2, 1))
     assert out.terms == ((0, 4, Fraction(1)),)
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_generator_index_outside_the_spec_is_rejected(h2, index):
+    # -1 would read A2's grade through Python's negative index, 3 (= dim) is past the end
+    with pytest.raises(InputError, match=f"generator index {index} out of range 0..2"):
+        h2.element([(index, 0, 1)])
+    with pytest.raises(InputError, match="out of range"):
+        h2.element([(0, 0, 1), (index, 0, 0)])
+    with pytest.raises(InputError, match="out of range"):
+        h2.basis_element(index)
+    stray = LoopElement(((index, 0, Fraction(1)),))
+    with pytest.raises(InputError, match="out of range"):
+        loop_bracket(h2, h2.basis_element(0), stray)
+    with pytest.raises(InputError, match="out of range"):
+        loop_bracket(h2, stray, h2.basis_element(0))
 
 
 def test_loop_bracket_antisymmetry(h2):

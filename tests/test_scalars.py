@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from loopalg import (
     NonPositiveEval,
     NotSymmetric,
     PuiseuxScalar,
+    Rejected,
     signature,
 )
 from loopalg.scalars import MAX_POWER_BITS
@@ -37,6 +39,24 @@ def test_eval_examples():
     for bad in (0.0, -1.0):
         with pytest.raises(NonPositiveEval):
             P.one().eval(bad)
+
+
+def test_eval_rejects_a_result_that_is_not_a_finite_double():
+    # eps**q overflows the double range inside pow
+    with pytest.raises(Rejected, match=r"term 1\*eps\^2000 is not a finite double at eps=10\.0"):
+        P.monomial(1, 2000).eval(10.0)
+    # finite c and finite eps**q whose product is inf
+    with pytest.raises(Rejected, match=r"eps=10000000000\.0"):
+        P.monomial(10 ** 300, 1).eval(1e10)
+    # +inf and -inf terms would sum to nan
+    with pytest.raises(Rejected, match="not a finite double"):
+        P([(1, 10 ** 300), (2, -(10 ** 300))]).eval(1e10)
+    with pytest.raises(Rejected, match="eps=nan"):
+        P.monomial(1, 1).eval(math.nan)
+    # every term finite, their sum is not
+    with pytest.raises(Rejected, match=r"eps \+ 17\d*\*eps\^2 is not a finite double at eps=1\.0$"):
+        P([(1, Fraction(17, 10) * 10 ** 308), (2, Fraction(17, 10) * 10 ** 308)]).eval(1.0)
+    assert P.monomial(1, 1000).eval(2.0) == 2.0 ** 1000
 
 
 def test_eval_converges_to_limit():
