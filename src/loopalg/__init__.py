@@ -6,7 +6,6 @@ from .scalars import (
     InexactPower,
     InputError,
     NegativeExponent,
-    NonPositiveEval,
     NotSymmetric,
     PuiseuxScalar,
     Rejected,

@@ -304,11 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    def add(name, func, help_, needs_format=True):
+    def add(name, func, help_):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
-        if needs_format:
-            p.add_argument("--format", choices=("table", "json"), default="table")
+        p.add_argument("--format", choices=("table", "json"), default="table")
         return p
 
     p = add("validate", _cmd_validate, "validate an algebra or loop-spec file")

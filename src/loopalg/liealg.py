@@ -166,7 +166,7 @@ class LieAlgebra:
                         for d, q1, c1 in adj.get((b, c), ()):
                             for e, q2, c2 in adj.get((a, d), ()):
                                 add_term(res.setdefault(e, {}), q1 + q2, c1 * c2)
-                    residual = {e: PuiseuxScalar(qc) for e, qc in res.items() if qc}
+                    residual = {e: PuiseuxScalar(qc.items()) for e, qc in res.items() if qc}
                     if residual:
                         raise JacobiViolation(i, j, k, residual)
 
@@ -179,12 +179,6 @@ class LieAlgebra:
         """Structure constants as plain rationals; requires an eps-free algebra."""
         _require_eps_free(self, "constants_fraction")
         return dict(self._layers.get(0, {}))
-
-    def structure_constants(self):
-        """Canonical hashable form of the bracket table, for exact comparison."""
-        return frozenset(
-            (i, j, k, s) for (i, j), row in self.brackets().items() for k, s in row.items()
-        )
 
     def same_constants(self, other: "LieAlgebra") -> bool:
         return self._dim == other._dim and self._layers == other._layers
@@ -244,9 +238,11 @@ class LieAlgebra:
                 if i >= j:
                     raise AlgebraFormatError(f"bracket entry requires i < j, got ({i},{j})")
                 table.setdefault((i, j), []).extend(
-                    (t["k"], PuiseuxScalar.monomial(Fraction(t["c"]), Fraction(t.get("q", 0))))
-                    for t in entry["terms"])
-            return cls(data["dim"], table, names=data.get("names"))
+                    (t["k"], PuiseuxScalar.monomial(t["c"], t.get("q", 0))) for t in entry["terms"])
+            names = data.get("names")
+            if names is not None and not isinstance(names, list):
+                raise AlgebraFormatError(f"names must be a list, got {names!r}")
+            return cls(data["dim"], table, names=names)
         except (InputError, Rejected):
             raise
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

@@ -253,9 +253,7 @@ class LoopSpec:
                 if i >= j:
                     raise SpecFormatError(f"bracket entry requires i < j, got ({i},{j})")
                 table.setdefault((i, j), []).extend(
-                    (t["k"], Fraction(t["c"]), t.get("hpow", 0))
-                    for t in entry["terms"]
-                )
+                    (t["k"], t["c"], t.get("hpow", 0)) for t in entry["terms"])
             return cls(s, generators, table, selection=data.get("selection"))
         except (InputError, Rejected):
             raise

@@ -4,7 +4,7 @@ Every structure constant in this package is a finite sum ``sum_i c_i * eps**q_i`
 with rational coefficients ``c_i`` and rational exponents ``q_i`` (a Puiseux
 monomial sum in the deformation parameter ``eps``).  Plain rationals are
 ``fractions.Fraction`` throughout and serialize as ``"p/q"`` (``"p"`` when the
-denominator is 1); Puiseux scalars serialize as lists of ``{"c": ..., "q": ...}``.
+denominator is 1).
 
 The limit ``eps -> 0`` is always taken from the positive side.  Sign branches
 (negative energies vs positive energies) are handled by substituting a signed
@@ -14,9 +14,8 @@ powers of negative numbers.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -33,10 +32,6 @@ class NegativeExponent(Rejected):
     """A term eps**q with q < 0 has no limit at eps = 0."""
 
 
-class NonPositiveEval(Rejected):
-    """Numeric evaluation requires eps > 0 (fractional exponents need a positive base)."""
-
-
 class InexactPower(Rejected):
     """Exact substitution hit eps**q with no rational value."""
 
@@ -46,10 +41,10 @@ class NotSymmetric(Rejected):
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, strings like "3/2", and Fractions to Fraction."""
+    """Coerce ints, strings like "3/2" and Fractions to Fraction; a float or bool is a TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -127,18 +122,17 @@ def _int_nth_root(k: int, n: int):
 class PuiseuxScalar:
     """Immutable finite sum of terms c * eps**q with rational c and q.
 
-    No zero coefficients are stored and exponents are pairwise distinct;
-    addition merges terms by exponent and drops exact zeros immediately.
+    The value type of the bracket tables that ``LieAlgebra`` hands out.  No
+    zero coefficients are stored and exponents are pairwise distinct; ``+``
+    and ``*`` merge terms by exponent and drop exact zeros immediately.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         merged: dict[Fraction, Fraction] = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for q, c in items:
-                add_term(merged, as_fraction(q), as_fraction(c))
+        for q, c in terms or ():
+            add_term(merged, as_fraction(q), as_fraction(c))
         object.__setattr__(self, "_terms", tuple(sorted(merged.items())))
 
     def __setattr__(self, name, value):
@@ -153,52 +147,10 @@ class PuiseuxScalar:
         """The single term c * eps**q."""
         return cls([(as_fraction(q), as_fraction(c))])
 
-    @classmethod
-    def zero(cls) -> "PuiseuxScalar":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "PuiseuxScalar":
-        return cls.constant(1)
-
     @property
     def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Sorted (exponent, coefficient) pairs."""
         return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_constant(self) -> bool:
-        """True when the scalar does not depend on eps."""
-        return all(q == 0 for q, _ in self._terms)
-
-    def constant_value(self) -> Fraction:
-        """The value of an eps-free scalar."""
-        if not self.is_constant():
-            raise Rejected(f"{self} depends on eps")
-        return self._terms[0][1] if self._terms else Fraction(0)
-
-    def limit_at_zero(self) -> Fraction:
-        """Limit for eps -> 0+; defined iff all exponents are >= 0."""
-        return self.substitute(0)
-
-    def eval(self, eps: float) -> float:
-        """Double-precision value at eps > 0; Rejected unless every term and the sum are finite."""
-        if eps <= 0:
-            raise NonPositiveEval(f"eps must be positive, got {eps}")
-        values = []
-        for q, c in self._terms:
-            try:
-                values.append(float(c) * float(eps) ** float(q))
-            except OverflowError:
-                values.append(math.inf)
-            if not math.isfinite(values[-1]):
-                raise Rejected(f"term {PuiseuxScalar([(q, c)])} is not a finite double at eps={eps}")
-        total = sum(values)
-        if not math.isfinite(total):
-            raise Rejected(f"{self} is not a finite double at eps={eps}")
-        return total
 
     def substitute(self, eps: RationalLike) -> Fraction:
         """Exact value at a rational eps.
@@ -214,14 +166,6 @@ class PuiseuxScalar:
         if not isinstance(other, PuiseuxScalar):
             return NotImplemented
         return PuiseuxScalar(list(self._terms) + list(other._terms))
-
-    def __neg__(self):
-        return PuiseuxScalar([(q, -c) for q, c in self._terms])
-
-    def __sub__(self, other):
-        if not isinstance(other, PuiseuxScalar):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, PuiseuxScalar):
@@ -243,7 +187,7 @@ class PuiseuxScalar:
         if isinstance(other, PuiseuxScalar):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self == PuiseuxScalar.constant(other)
+            return self._terms == (((Fraction(0), Fraction(other)),) if other else ())
         return NotImplemented
 
     def __hash__(self):
@@ -264,13 +208,6 @@ class PuiseuxScalar:
             else:
                 parts.append(f"{c}*eps^{q}" if q.denominator == 1 else f"{c}*eps^({q})")
         return " + ".join(parts).replace("+ -", "- ")
-
-    def to_json(self) -> list:
-        return [{"c": str(c), "q": str(q)} for q, c in self._terms]
-
-    @classmethod
-    def from_json(cls, data: Iterable) -> "PuiseuxScalar":
-        return cls([(Fraction(t["q"]), Fraction(t["c"])) for t in data])
 
 
 def signature(form) -> tuple[int, int, int]:

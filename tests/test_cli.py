@@ -276,6 +276,12 @@ MALFORMED_FILES = {
     "selection_bool": {**_SPEC, "selection": [False, True]},
     "dim_not_int": {"dim": "x"},
     "names_not_list": {"dim": 3, "names": 5},
+    "names_string": {"dim": 3, "names": "XYZ"},
+    # a coefficient or exponent takes a "p/q" string or a JSON integer only
+    "c_float": {"dim": 3, "brackets": [_with(_BRACKET, "c", 0.1, term=True)]},
+    "q_float": {"dim": 3, "brackets": [_with(_BRACKET, "q", 0.5, term=True)]},
+    "c_bool": {"dim": 3, "brackets": [_with(_BRACKET, "c", True, term=True)]},
+    "spec_c_float": {**_SPEC, "brackets": [_with(_SPEC_TERM, "c", 0.5, term=True)]},
     "constant_inf": {"dim": 2, "brackets": [_TERM_INF]},
     "s_not_int": {**_SPEC, "s": "x"},
     "grade_not_int": {**_SPEC, "generators": [{"name": "A", "grade": 0},
@@ -297,7 +303,11 @@ def test_integer_fields_load_when_they_hold_integers(tmp_path, capsys):
     # the well-formed versions of the files above: only the field type differs
     algebra = {"dim": 3, "brackets": [_BRACKET]}
     spec = {**_SPEC, "brackets": [_SPEC_TERM], "selection": [0, 1]}
-    for name, data in (("algebra", algebra), ("spec", spec)):
+    # and a coefficient or exponent written as a JSON integer
+    int_algebra = {"dim": 3, "brackets": [_with(_with(_BRACKET, "c", 2, term=True), "q", 1, term=True)]}
+    int_spec = {**spec, "brackets": [_with(_SPEC_TERM, "c", -3, term=True)]}
+    for name, data in (("algebra", algebra), ("spec", spec),
+                       ("int_algebra", int_algebra), ("int_spec", int_spec)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, "validate", str(path))

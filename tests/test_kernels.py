@@ -265,7 +265,7 @@ def test_change_basis_matches_termwise_reference_on_symbolic_quotients():
             families += family.is_symbolic
             t = random_basis(rng, 3)
             changed = family.change_basis(t)
-            assert changed.structure_constants() == ref_change_basis(family, t).structure_constants()
+            assert changed.same_constants(ref_change_basis(family, t))
             for eps in (1, Fraction(1, 4), 0, -1):
                 assert changed.evaluate_at(eps).same_constants(family.evaluate_at(eps).change_basis(t))
     assert families > 30
@@ -298,10 +298,10 @@ def test_storage_round_trips_through_the_public_forms():
         loaded = LieAlgebra.from_json(alg.to_json())
         for other in (again, loaded):
             assert other.same_constants(alg) and other.names == alg.names
-            assert other.structure_constants() == alg.structure_constants()
+            assert other.brackets() == alg.brackets()
             assert other.to_json() == alg.to_json()
         assert alg.is_symbolic == any(
-            not s.is_constant() for row in alg.brackets().values() for s in row.values())
+            q != 0 for row in alg.brackets().values() for s in row.values() for q, _ in s.terms)
         count += 1
     assert count == 65
 
@@ -331,5 +331,5 @@ def test_inverse_basis_change_cancels_back_to_the_quotient():
     for family, alg, t in _changed_quotients():
         back = alg.change_basis(invert_matrix(t))
         assert back.same_constants(family)
-        assert back.structure_constants() == family.structure_constants()
+        assert back.brackets() == family.brackets()
         assert repr(back) == repr(family)

@@ -256,15 +256,15 @@ def test_closure_iff_nonnegative_exponents(h2):
 def test_factor_constants_h2(h2):
     alg = factor_algebra(h2)
     assert alg.names == ("L", "A1", "A2")
-    assert alg.bracket_on_basis(0, 1) == {2: P.one()}
-    assert alg.bracket_on_basis(2, 0) == {1: P.one()}
+    assert alg.bracket_on_basis(0, 1) == {2: P.constant(1)}
+    assert alg.bracket_on_basis(2, 0) == {1: P.constant(1)}
     assert alg.bracket_on_basis(1, 2) == {0: P.monomial(1, 1)}
 
 
 def test_factor_constants_l1(l1):
     alg = factor_algebra(l1)
     assert alg.bracket_on_basis(1, 2) == {0: P.monomial(1, 2)}  # {S,N1}=eps^2 M2
-    assert alg.bracket_on_basis(0, 1) == {2: P.one()}           # {M2,S}=N1
+    assert alg.bracket_on_basis(0, 1) == {2: P.constant(1)}           # {M2,S}=N1
     assert alg.bracket_on_basis(2, 0) == {1: P.monomial(1, 1)}  # {N1,M2}=eps S
 
 

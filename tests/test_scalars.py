@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ from loopalg import (
     InexactPower,
     InputError,
     NegativeExponent,
-    NonPositiveEval,
     NotSymmetric,
     PuiseuxScalar,
     Rejected,
@@ -20,60 +18,16 @@ P = PuiseuxScalar
 
 
 def test_limit_examples():
-    assert P.monomial(1, 2).limit_at_zero() == 0
-    assert P.constant(5).limit_at_zero() == 5
+    assert P.monomial(1, 2).substitute(0) == 0
+    assert P.constant(5).substitute(0) == 5
     with pytest.raises(NegativeExponent):
-        P.monomial(1, Fraction(-1, 2)).limit_at_zero()
+        P.monomial(1, Fraction(-1, 2)).substitute(0)
 
 
 def test_limit_mixed_terms():
     s = P.monomial(3, 0) + P.monomial(7, Fraction(1, 2)) + P.monomial(-2, 4)
-    assert s.limit_at_zero() == 3
-    assert P.zero().limit_at_zero() == 0
-
-
-def test_eval_examples():
-    assert P.monomial(1, 1).eval(4) == pytest.approx(4.0)
-    assert P.monomial(1, Fraction(1, 2)).eval(4) == pytest.approx(2.0)
-    assert (P.monomial(1, 2) + P.constant(3)).eval(2) == pytest.approx(7.0)
-    for bad in (0.0, -1.0):
-        with pytest.raises(NonPositiveEval):
-            P.one().eval(bad)
-
-
-def test_eval_rejects_a_result_that_is_not_a_finite_double():
-    # eps**q overflows the double range inside pow
-    with pytest.raises(Rejected, match=r"term 1\*eps\^2000 is not a finite double at eps=10\.0"):
-        P.monomial(1, 2000).eval(10.0)
-    # finite c and finite eps**q whose product is inf
-    with pytest.raises(Rejected, match=r"eps=10000000000\.0"):
-        P.monomial(10 ** 300, 1).eval(1e10)
-    # +inf and -inf terms would sum to nan
-    with pytest.raises(Rejected, match="not a finite double"):
-        P([(1, 10 ** 300), (2, -(10 ** 300))]).eval(1e10)
-    with pytest.raises(Rejected, match="eps=nan"):
-        P.monomial(1, 1).eval(math.nan)
-    # every term finite, their sum is not
-    with pytest.raises(Rejected, match=r"eps \+ 17\d*\*eps\^2 is not a finite double at eps=1\.0$"):
-        P([(1, Fraction(17, 10) * 10 ** 308), (2, Fraction(17, 10) * 10 ** 308)]).eval(1.0)
-    assert P.monomial(1, 1000).eval(2.0) == 2.0 ** 1000
-
-
-def test_eval_converges_to_limit():
-    rng = random.Random(20240817)
-    for _ in range(50):
-        terms = [
-            (Fraction(rng.randint(0, 8), rng.choice([1, 2, 3])),
-             Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-            for _ in range(rng.randint(1, 4))
-        ]
-        s = P(terms)
-        lim = float(s.limit_at_zero())
-        diffs = [abs(s.eval(10.0 ** -k) - lim) for k in range(1, 7)]
-        assert diffs[-1] <= diffs[0] + 1e-12
-        positive = [(q, c) for q, c in s.terms if q > 0]
-        bound = sum(abs(float(c)) * (1e-6) ** float(q) for q, c in positive)
-        assert diffs[-1] <= bound + 1e-12
+    assert s.substitute(0) == 3
+    assert P().substitute(0) == 0
 
 
 def test_exact_substitution():
@@ -106,12 +60,16 @@ def test_exact_powers_are_bounded_before_any_arithmetic():
 def test_arithmetic_merges_and_drops_zeros():
     a = P.monomial(1, 1) + P.monomial(2, 1)
     assert a == P.monomial(3, 1)
-    assert (a - a).is_zero()
-    assert not (a - a)
+    zero = a + (-1) * a
+    assert zero.terms == () and zero == P() and zero == 0
+    # a bool compares as the int it is, although as_fraction refuses one
+    assert P.constant(1) == True and zero == False  # noqa: E712
+    assert not zero
+    assert (P.monomial(1, 2) + P.constant(1) + P.monomial(-1, 2)).terms == ((0, 1),)
     prod = P.monomial(2, Fraction(1, 2)) * P.monomial(3, Fraction(3, 2))
     assert prod == P.monomial(6, 2)
     assert 2 * P.monomial(1, 1) == P.monomial(2, 1)
-    assert P.constant(Fraction(1, 3)) * 3 == P.one()
+    assert P.constant(Fraction(1, 3)) * 3 == P.constant(1)
 
 
 def test_scalar_is_immutable_and_hashable():
@@ -119,12 +77,6 @@ def test_scalar_is_immutable_and_hashable():
     with pytest.raises(AttributeError):
         s._terms = ()
     assert len({P.monomial(1, 1), P.monomial(1, 1), P.constant(1)}) == 2
-
-
-def test_json_round_trip():
-    s = P.monomial(Fraction(-3, 2), Fraction(5, 2)) + P.constant(7)
-    assert P.from_json(s.to_json()) == s
-    assert s.to_json() == [{"c": "7", "q": "0"}, {"c": "-3/2", "q": "5/2"}]
 
 
 def test_rational_arithmetic_is_exact():
