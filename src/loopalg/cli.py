@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -94,9 +95,24 @@ def _parse_ints(text, what):
         raise InputError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
+def _strict(data):
+    """data with every non-finite float as None, so that the JSON is strict (RFC 8259)."""
+    if isinstance(data, float) and not math.isfinite(data):
+        return None
+    if isinstance(data, dict):
+        return {k: _strict(v) for k, v in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_strict(v) for v in data]
+    return data
+
+
+def _print_json(data):
+    print(json.dumps(_strict(data), indent=2, sort_keys=True, allow_nan=False))
+
+
 def _emit(args, data, human):
     if args.format == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
+        _print_json(data)
     else:
         print(human)
 
@@ -175,7 +191,7 @@ def _cmd_verify_kepler(args):
         rt = report.radial_term
         print(f"radial coefficient: {rt['radial_coefficient']} ({rt['note']})")
     else:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        _print_json(report.to_json())
     return OK if report.all_pass else FAIL_NUMERIC
 
 

@@ -9,7 +9,10 @@ constants as rational layers, one sparse table {(i, j, k): (C_q)_ij^k} per
 exponent q, and each operation is one pass over the layers: eps = 0 keeps
 the q = 0 layer (a negative q has no limit), another value of eps scales
 each layer by eps**q, a weighted rescaling shifts q, and a basis change
-transforms each layer on its own.  A :class:`~loopalg.scalars.PuiseuxScalar`
+transforms each layer on its own.  The arithmetic passes run in integers: a
+layer is scaled once by the lcm of its denominators, the inner loops add and
+multiply ints, and each constant of the result is built once as a Fraction
+over one common denominator.  A :class:`~loopalg.scalars.PuiseuxScalar`
 is built only where a public method hands a constant out.  Every direct
 construction (``from_json`` included) checks the Jacobi identity exactly, so
 every value of this type is a genuine Lie algebra (possibly depending on the
@@ -21,7 +24,7 @@ re-check.
 On top of the data type this module provides the structural toolbox used by
 the quotient/contraction pipeline: derived subalgebra and center dimensions,
 the exact Killing form and tr ad (all read from one sparse pass over the
-rational constants), a classifier for 3-dimensional real algebras, the
+constants, scaled to integers), a classifier for 3-dimensional real algebras, the
 generalized weighted contraction and its diagonal-rescaling counterpart, and
 extraction of structure constants from a list of matrix generators.
 """
@@ -29,6 +32,7 @@ extraction of structure constants from a list of matrix generators.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
@@ -88,9 +92,14 @@ def _shape(dim, names) -> tuple[int, tuple[str, ...]]:
     dim = as_int(dim, "dim")
     if dim < 0:
         raise AlgebraFormatError("dimension must be nonnegative")
-    names = [f"X{i}" for i in range(dim)] if names is None else [str(n) for n in names]
+    names = [f"X{i}" for i in range(dim)] if names is None else list(names)
     if len(names) != dim:
         raise AlgebraFormatError("names length does not match dimension")
+    bad = next((n for n in names if not isinstance(n, str)), None)
+    if bad is not None:
+        raise AlgebraFormatError(f"generator names must be strings, got {bad!r}")
+    if len(set(names)) != dim:
+        raise AlgebraFormatError("generator names must be distinct")
     return dim, tuple(names)
 
 
@@ -117,9 +126,10 @@ class LieAlgebra:
 
     @classmethod
     def _from_layers(cls, dim, layers, names) -> "LieAlgebra":
-        """An algebra from layers {q: {(i, j, k): c}} that are Lie by construction."""
+        """An algebra from layers {q: {(i, j, k): c}} that are Lie by construction;
+        the names are taken as given (the caller's are already checked)."""
         alg = cls.__new__(cls)
-        alg._dim, alg._names = _shape(dim, names)
+        alg._dim, alg._names = dim, tuple(names)
         alg._layers = {q: layer for q, layer in layers.items() if layer}
         return alg
 
@@ -186,39 +196,53 @@ class LieAlgebra:
     def evaluate_at(self, eps) -> "LieAlgebra":
         """Substitute an exact rational value for eps (eps = 0 takes the limit)."""
         eps = as_fraction(eps)
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for q, layer in self._layers.items():
-            # a diverging layer is named by its first term
-            power = eps_power(eps, q, next(iter(layer.values())))
-            if power:
-                for key, c in layer.items():
-                    add_term(out, key, c * power)
-        return LieAlgebra._from_layers(self._dim, {0: out}, self._names)
+        # a diverging layer is named by its first term
+        powers = {q: eps_power(eps, q, next(iter(layer.values())))
+                  for q, layer in self._layers.items()}
+        scaled = [(p, _integer_layer(self._layers[q])) for q, p in powers.items() if p]
+        # every term over one common denominator: den(eps**q) * den(layer)
+        den = lcm(*[p.denominator * d for p, (d, _) in scaled])
+        out: dict[tuple[int, int, int], int] = {}
+        for p, (d, layer) in scaled:
+            f = p.numerator * (den // (p.denominator * d))
+            for key, c in layer.items():
+                add_term(out, key, f * c)
+        return LieAlgebra._from_layers(self._dim, {0: _fraction_layer(out, den)}, self._names)
 
     def change_basis(self, t_rows) -> "LieAlgebra":
-        """Rewrite the algebra in the basis Y_a = sum_j T[a][j] X_j (T invertible)."""
+        """Rewrite the algebra in the basis Y_a = sum_j T[a][j] X_j (T invertible).
+
+        T, its inverse and each layer are scaled to integers, so the inner
+        loops run in int arithmetic; each new constant is built once, divided
+        by den(T)**2 * den(T**-1) * den(layer).
+        """
         t = [[as_fraction(x) for x in row] for row in t_rows]
         if len(t) != self._dim or any(len(r) != self._dim for r in t):
             raise WrongDimension("change-of-basis matrix must be dim x dim")
-        tinv = linalg.invert_matrix(t)
-        if tinv is None:
+        inv = linalg._integer_inverse(t)
+        if inv is None:
             raise LinearlyDependent("change-of-basis matrix is singular")
+        tinv, dinv = inv
+        dt = lcm(*[x.denominator for row in t for x in row])
+        t = [[x.numerator * (dt // x.denominator) for x in row] for row in t]
         # linear in the constants: each layer transforms on its own
+        scaled = {q: _integer_layer(layer) for q, layer in self._layers.items()}
         pairs = {(i, j) for layer in self._layers.values() for i, j, _ in layer}
-        layers: dict = {q: {} for q in self._layers}
+        acc: dict = {q: {} for q in self._layers}
         for a in range(self._dim):
             for b in range(a + 1, self._dim):
                 w = {(i, j): t[a][i] * t[b][j] - t[a][j] * t[b][i] for i, j in pairs}
-                for q, layer in self._layers.items():
-                    vec: dict[int, Fraction] = {}
+                for q, (_, layer) in scaled.items():
+                    vec: dict[int, int] = {}
                     for (i, j, k), c in layer.items():
                         if w[i, j]:
                             add_term(vec, k, w[i, j] * c)
-                    out = layers[q]
+                    out = acc[q]
                     for k, c in vec.items():
                         for l in range(self._dim):
                             if tinv[k][l]:
                                 add_term(out, (a, b, l), tinv[k][l] * c)
+        layers = {q: _fraction_layer(acc[q], dt * dt * dinv * d) for q, (d, _) in scaled.items()}
         return LieAlgebra._from_layers(self._dim, layers, self._names)
 
     def to_json(self) -> dict:
@@ -265,11 +289,28 @@ def _check_weights(alg: LieAlgebra, weights) -> tuple[Fraction, ...]:
     return w
 
 
+def _integer_layer(layer) -> tuple[int, dict]:
+    """(d, {key: d * c}) with d the lcm of the layer's denominators."""
+    # star-args from a list: a tuple built from a generator is resized, and
+    # the interpreter keeps every freed one in its tuple free list
+    d = lcm(*[c.denominator for c in layer.values()])
+    return d, {key: c.numerator * (d // c.denominator) for key, c in layer.items()}
+
+
+def _fraction_layer(layer, den) -> dict:
+    """{key: c / den} for an integer layer, one Fraction per entry."""
+    return {key: Fraction(c, den) for key, c in layer.items()}
+
+
 class _Invariants(NamedTuple):
+    """Invariants of f * C for the lcm f of the denominators of C: the ranks
+    are those of C, the Killing form is f**2 * B and tr ad is f * tr ad."""
+
     derived_dim: int
     center_rows: list
     killing: list
     trace_ad: list
+    scale: int
 
     @property
     def center_dim(self) -> int:
@@ -277,27 +318,31 @@ class _Invariants(NamedTuple):
 
 
 def _invariants(alg: LieAlgebra, op: str) -> _Invariants:
-    """One sparse pass over the constants of an eps-free algebra.
+    """One sparse pass over the constants of an eps-free algebra, in integers.
 
-    ad[a] = {(e, d): C_ad^e} holds the nonzero entries of ad X_a.  The ranks
-    read only the nonzero rows; the centre is ranked only when it is read.
+    ad[a] = {(e, d): f * C_ad^e} holds the nonzero entries of ad X_a.  The
+    ranks read only the nonzero rows; the centre is ranked only when it is read.
     """
     _require_eps_free(alg, op)
     n = alg.dim
-    ad: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]
+    f, layer = _integer_layer(alg._layers.get(0, {}))
+    ad: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
     brackets: dict[tuple[int, int], list] = {}
     center: dict[tuple[int, int], list] = {}
-    for (i, j, k), c in alg._layers.get(0, {}).items():
+    for (i, j, k), c in layer.items():
         ad[i][k, j] = c
         ad[j][k, i] = -c
         brackets.setdefault((i, j), [0] * n)[k] = c
         center.setdefault((j, k), [0] * n)[i] = c
         center.setdefault((i, k), [0] * n)[j] = -c
-    killing = [[sum((c * ad[b][d, e] for (e, d), c in ad[a].items() if (d, e) in ad[b]),
-                    Fraction(0)) for b in range(n)] for a in range(n)]
+    killing = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            killing[a][b] = killing[b][a] = sum(
+                c * ad[b][d, e] for (e, d), c in ad[a].items() if (d, e) in ad[b])
     trace = [sum(c for (e, d), c in ad[a].items() if e == d) for a in range(n)]
     derived = linalg.matrix_rank(list(brackets.values()))
-    return _Invariants(derived, list(center.values()), killing, trace)
+    return _Invariants(derived, list(center.values()), killing, trace, f)
 
 
 def derived_subalgebra_dim(alg: LieAlgebra) -> int:
@@ -312,7 +357,8 @@ def center_dim(alg: LieAlgebra) -> int:
 
 def killing_form(alg: LieAlgebra):
     """B(X_a, X_b) = trace(ad_a . ad_b) as an exact rational matrix."""
-    return _invariants(alg, "killing_form").killing
+    inv = _invariants(alg, "killing_form")
+    return [[Fraction(x, inv.scale ** 2) for x in row] for row in inv.killing]
 
 
 def classify3(alg: LieAlgebra) -> str:
@@ -405,7 +451,7 @@ def algebra_from_matrices(mats: Sequence, names=None) -> LieAlgebra:
     generators and all commutators).
     """
     mats = [[[as_fraction(x) for x in row] for row in m] for m in mats]
-    n = len(mats)
+    n, names = _shape(len(mats), names)
     if n == 0:
         return LieAlgebra(0, {}, names=[])
     d = len(mats[0])

@@ -1,7 +1,9 @@
 """Small exact linear algebra kernel over the rationals (rank, inverse).
 
-Entries are ints or Fractions.  Row reduction eliminates over the integers
-and divides by each pivot once, at the end (fraction-free elimination).
+Entries are ints or Fractions.  Every kernel scales each row to integers by
+the lcm of its denominators, eliminates in int arithmetic and builds a
+Fraction only for an entry it returns (fraction-free elimination): the rank
+builds none, and the inverse divides its block by one common denominator.
 """
 
 from __future__ import annotations
@@ -10,28 +12,34 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def row_reduce(rows):
-    """Reduced row echelon form of a rational matrix; returns (rref, pivot_columns).
-
-    Each row is scaled to integers by the lcm of its denominators, updated as
-    piv * row_i - f * row_r and kept primitive by dividing out its gcd, as in
-    fraction-free elimination (Bareiss, Math. Comp. 22, 1968).  The RREF is
-    unique, so the result equals Gauss-Jordan elimination over Fraction.
-    """
-    m = []
+def _integer_rows(rows):
+    """Each row times the lcm of its denominators: the same row space, in ints."""
+    out = []
     for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-    ncols = len(m[0]) if m else 0
+        # star-args from a list: a tuple built from a generator is resized, and
+        # the interpreter keeps every freed one in its tuple free list
+        den = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(m, reduce=True):
+    """Fraction-free elimination of integer rows in place; returns the pivot columns.
+
+    Each update piv * row_i - f * row_r is kept primitive by dividing out its
+    gcd, as in fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
+    With reduce=True the rows above each pivot are cleared too (Gauss-Jordan);
+    otherwise only the rows below it, which is all a rank needs.
+    """
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
         pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         piv = m[r][c]
-        for i in range(len(m)):
+        for i in range(0 if reduce else r + 1, len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
                 row = [piv * a - f * b for a, b in zip(m[i], m[r])]
@@ -41,22 +49,43 @@ def row_reduce(rows):
         r += 1
         if r == len(m):
             break
+    return pivots
+
+
+def row_reduce(rows):
+    """Reduced row echelon form of a rational matrix; returns (rref, pivot_columns).
+
+    The RREF is unique, so the result equals Gauss-Jordan elimination over
+    Fraction; each pivot row is divided by its pivot once, at the end.
+    """
+    m = _integer_rows(rows)
+    pivots = _eliminate(m)
+    ncols = len(m[0]) if m else 0
     red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    return red + [[Fraction(0)] * ncols for _ in m[r:]], pivots
+    return red + [[Fraction(0)] * ncols for _ in m[len(pivots):]], pivots
 
 
 def matrix_rank(rows) -> int:
-    return len(row_reduce(rows)[1])
+    return len(_eliminate(_integer_rows(rows), reduce=False))
+
+
+def _integer_inverse(rows):
+    """(M, d) with M integer and M / d the inverse of a square rational matrix, or None."""
+    n = len(rows)
+    m = _integer_rows([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    if _eliminate(m) != list(range(n)):
+        return None
+    den = lcm(*[m[r][r] for r in range(n)])
+    return [[x * (den // row[r]) for x in row[n:]] for r, row in enumerate(m)], den
 
 
 def invert_matrix(rows):
     """Exact inverse of a square rational matrix, or None if singular."""
-    n = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    red, pivots = row_reduce(aug)
-    if pivots != list(range(n)):
+    inv = _integer_inverse(rows)
+    if inv is None:
         return None
-    return [row[n:] for row in red[:n]]
+    m, den = inv
+    return [[Fraction(x, den) for x in row] for row in m]
 
 
 def mat_mul(a, b):

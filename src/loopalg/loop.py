@@ -103,10 +103,12 @@ class LoopSpec:
             raise SpecFormatError("grade of h must be a positive integer")
         names, grades = [], []
         for name, grade in generators:
+            if not isinstance(name, str):
+                raise SpecFormatError(f"generator names must be strings, got {name!r}")
             grade = as_int(grade, "grade")
             if grade < 0:
                 raise SpecFormatError(f"generator {name} has negative grade")
-            names.append(str(name))
+            names.append(name)
             grades.append(grade)
         if len(set(names)) != len(names):
             raise SpecFormatError("generator names must be distinct")

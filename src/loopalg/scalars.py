@@ -15,6 +15,7 @@ powers of negative numbers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 RationalLike = Union[Fraction, int, str]
@@ -213,10 +214,14 @@ class PuiseuxScalar:
 def signature(form) -> tuple[int, int, int]:
     """Inertia (positives, negatives, zeros) of a symmetric rational matrix.
 
-    Computed by exact congruence diagonalization (no floating point), so the
-    result is invariant under any exact change of basis.
+    Computed by exact congruence diagonalization in integers (no floating
+    point), so the result is invariant under any exact change of basis.  The
+    matrix is scaled to integers by the lcm of its denominators; each pivot
+    piv then replaces the trailing block by sgn(piv) * (piv * a_ij - a_ik * a_kj),
+    which is |piv| times the Schur complement, divided by the gcd of its
+    entries.  Both scalings are positive, so neither changes the inertia.
     """
-    m = [[as_fraction(x) for x in row] for row in form]
+    m = [[x if type(x) is int else as_fraction(x) for x in row] for row in form]
     n = len(m)
     for row in m:
         if len(row) != n:
@@ -225,32 +230,36 @@ def signature(form) -> tuple[int, int, int]:
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise NotSymmetric(f"entry ({i},{j}) != ({j},{i})")
-    for k in range(n):
-        if m[k][k] == 0:
+    # star-args from a list: a tuple built from a generator is resized, and
+    # the interpreter keeps every freed one in its tuple free list
+    den = lcm(*[x.denominator for row in m for x in row])
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    pos = rank = 0
+    while a:
+        if not a[0][0]:
             # prefer swapping in a later nonzero diagonal entry
-            j = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            j = next((j for j in range(1, len(a)) if a[j][j]), None)
             if j is not None:
-                m[k], m[j] = m[j], m[k]
-                for row in m:
-                    row[k], row[j] = row[j], row[k]
+                a[0], a[j] = a[j], a[0]
+                for row in a:
+                    row[0], row[j] = row[j], row[0]
             else:
-                i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if i is None:
+                i = next((i for i in range(1, len(a)) if a[i][0]), None)
+                if i is None:  # a zero row and column: one zero of the inertia
+                    a = [row[1:] for row in a[1:]]
                     continue
                 # all remaining diagonal entries vanish: row/col addition
-                # makes m[k][k] = 2*m[i][k] != 0 and stays congruent
-                for j in range(n):
-                    m[k][j] += m[i][j]
-                for row in m:
-                    row[k] += row[i]
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] / piv
-                for j in range(n):
-                    m[i][j] -= f * m[k][j]
-                for row in m:
-                    row[i] -= f * row[k]
-    pos = sum(1 for k in range(n) if m[k][k] > 0)
-    neg = sum(1 for k in range(n) if m[k][k] < 0)
-    return pos, neg, n - pos - neg
+                # makes a[0][0] = 2*a[i][0] != 0 and stays congruent
+                a[0] = [x + y for x, y in zip(a[0], a[i])]
+                for row in a:
+                    row[0] += row[i]
+        piv = a[0][0]
+        s = 1 if piv > 0 else -1
+        pos += s > 0
+        rank += 1
+        top = a[0][1:]
+        a = [[s * (piv * x - row[0] * y) for x, y in zip(row[1:], top)] for row in a[1:]]
+        g = gcd(*[x for row in a for x in row])
+        if g > 1:
+            a = [[x // g for x in row] for row in a]
+    return pos, rank - pos, n - rank

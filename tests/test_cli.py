@@ -277,6 +277,16 @@ MALFORMED_FILES = {
     "dim_not_int": {"dim": "x"},
     "names_not_list": {"dim": 3, "names": 5},
     "names_string": {"dim": 3, "names": "XYZ"},
+    # a generator name is a JSON string, distinct from the others
+    "names_not_strings": {"dim": 2, "names": [1, None]},
+    "names_list_entry": {"dim": 2, "names": ["A", ["B"]]},
+    "names_duplicate": {"dim": 3, "names": ["A", "A", "B"]},
+    "spec_name_null": {**_SPEC, "generators": [{"name": None, "grade": 0},
+                                               {"name": "B", "grade": 1}]},
+    "spec_name_list": {**_SPEC, "generators": [{"name": "A", "grade": 0},
+                                               {"name": [1], "grade": 1}]},
+    "spec_name_number": {**_SPEC, "generators": [{"name": 7, "grade": 0},
+                                                 {"name": "B", "grade": 1}]},
     # a coefficient or exponent takes a "p/q" string or a JSON integer only
     "c_float": {"dim": 3, "brackets": [_with(_BRACKET, "c", 0.1, term=True)]},
     "q_float": {"dim": 3, "brackets": [_with(_BRACKET, "q", 0.5, term=True)]},
@@ -318,6 +328,24 @@ def test_integer_fields_load_when_they_hold_integers(tmp_path, capsys):
 def test_verify_kepler_rejects_tol_outside_its_domain(capsys, tol):
     code, out, err = run(capsys, "verify-kepler", "--samples", "5", f"--tol={tol}")
     assert _rejected(code, out, err) and "tol" in err
+
+
+def test_verify_kepler_json_is_strict_when_residuals_are_not_finite(capsys):
+    # at m = 1e-320 most residuals are NaN: the JSON writes them as null,
+    # the table keeps "nan" and the run is a numerical failure either way
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    code, out, err = run(capsys, "verify-kepler", "--m", "1e-320", "--samples", "1",
+                         "--format", "json")
+    report = json.loads(out, parse_constant=refuse)
+    assert code == 2 and not err and report["all_pass"] is False
+    residuals = [res["max_rel_residual"] for res in report["identities"]]
+    assert residuals.count(None) == 14 and all(
+        isinstance(r, float) for r in residuals if r is not None)
+    assert report["radial_term"]["max_rel_residual"] is None
+    code, out, err = run(capsys, "verify-kepler", "--m", "1e-320", "--samples", "1")
+    assert code == 2 and not err and "max_rel_residual=nan" in out
 
 
 def test_verify_kepler_tol_zero_runs(capsys):

@@ -1,9 +1,9 @@
 """The exact kernels against the plain Fraction algorithms they replaced.
 
 Each reference below is the earlier implementation of a kernel:
-Gauss-Jordan elimination over Fraction, the dense adjoint table behind the
-structural invariants, and the basis change that multiplies PuiseuxScalars
-term by term.  The kernels must return exactly what the references return.
+Gauss-Jordan elimination over Fraction, congruence diagonalization over
+Fraction, the dense adjoint table behind the structural invariants, and the
+basis change that multiplies PuiseuxScalars term by term.  The kernels must return exactly what the references return.
 The layered storage of ``LieAlgebra`` is checked the same way: its round
 trips, substitutions and rescalings against PuiseuxScalar arithmetic on
 each constant.
@@ -11,6 +11,7 @@ each constant.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from loopalg import (
     selection_ok,
     signature,
 )
+from loopalg import linalg
 from loopalg.linalg import invert_matrix, mat_mul, mat_sub, matrix_rank, row_reduce
 from loopalg.scalars import add_term
 
@@ -61,6 +63,38 @@ def gauss_jordan(rows):
         if r == len(m):
             break
     return m, pivots
+
+
+def ref_signature(form):
+    """Inertia by congruence diagonalization over Fraction."""
+    m = [[Fraction(x) for x in row] for row in form]
+    n = len(m)
+    for k in range(n):
+        if m[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if j is not None:
+                m[k], m[j] = m[j], m[k]
+                for row in m:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+                if i is None:
+                    continue
+                for j in range(n):
+                    m[k][j] += m[i][j]
+                for row in m:
+                    row[k] += row[i]
+        piv = m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k]:
+                f = m[i][k] / piv
+                for j in range(n):
+                    m[i][j] -= f * m[k][j]
+                for row in m:
+                    row[i] -= f * row[k]
+    pos = sum(1 for k in range(n) if m[k][k] > 0)
+    neg = sum(1 for k in range(n) if m[k][k] < 0)
+    return pos, neg, n - pos - neg
 
 
 def dense_ad(alg):
@@ -158,6 +192,26 @@ def random_matrix(rng):
     return m
 
 
+def random_symmetric(rng, n):
+    """Random symmetric rational matrix; some singular, some with an all-zero diagonal."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = random_entry(rng)
+    shape = rng.random()
+    if shape < 0.25:
+        for i in range(n):
+            m[i][i] = 0
+    elif shape < 0.5 and n >= 2:
+        # a repeated row and column: singular
+        i, j = rng.sample(range(n), 2)
+        f = random_entry(rng)
+        m[j] = [f * x for x in m[i]]
+        for row in m:
+            row[j] = f * row[i]
+    return m
+
+
 def random_basis(rng, n):
     while True:
         t = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
@@ -195,6 +249,19 @@ def test_row_reduce_matches_fraction_gauss_jordan():
     assert shapes == {-1, 0, 1} and deficient > 50
 
 
+def test_matrix_rank_builds_no_fraction_and_no_rref(monkeypatch):
+    rng = random.Random(6061)
+    cases = [random_matrix(rng) for _ in range(400)]
+    ranks = [len(row_reduce(m)[1]) for m in cases]
+
+    def refuse(*args):
+        raise AssertionError("matrix_rank built a Fraction or an RREF")
+
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    monkeypatch.setattr(linalg, "row_reduce", refuse)
+    assert [matrix_rank(m) for m in cases] == ranks
+
+
 def test_invert_matrix_is_the_exact_inverse():
     rng = random.Random(17)
     singular = 0
@@ -207,7 +274,37 @@ def test_invert_matrix_is_the_exact_inverse():
             assert len(gauss_jordan(t)[1]) < n
         else:
             assert mat_mul(t, inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+            aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(t)]
+            assert inv == [row[n:] for row in gauss_jordan(aug)[0]]
+            assert all(type(x) is Fraction for row in inv for x in row)
     assert 0 < singular < 200
+
+
+# -- signature -------------------------------------------------------------------------
+
+def test_signature_matches_fraction_congruence():
+    rng = random.Random(1212)
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(0, 8)
+        m = random_symmetric(rng, n)
+        sig = signature(m)
+        assert sig == ref_signature(m), m
+        seen.add((sig[2] > 0, n > 0 and not any(m[i][i] for i in range(n))))
+    # singular and regular matrices, with and without an all-zero diagonal
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_signature_of_a_large_matrix_matches_and_stays_fast():
+    rng = random.Random(24)
+    m = random_symmetric(rng, 24)
+    for i in range(24):
+        m[i][i] = 0
+    start = time.perf_counter()
+    sig = signature(m)
+    elapsed = time.perf_counter() - start
+    assert sig == ref_signature(m)
+    assert elapsed < 0.5
 
 
 # -- invariants ----------------------------------------------------------------------
