@@ -43,9 +43,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, fields
 
-from .scalars import InputError
+from .scalars import FrozenRecord, InputError
 
 _DOMAIN = {"r": (0.5, 3.0), "phi_margin": 0.2, "p": (-2.0, 2.0), "pphi_min": 0.1}
 
@@ -67,35 +66,30 @@ class IdentityFailed(RuntimeError):
 
 
 def _require_finite(record):
-    for name in (field.name for field in fields(record)):
-        if not math.isfinite(getattr(record, name)):
-            raise InputError(f"{name} must be finite, got {getattr(record, name)}")
+    for name, value in zip(record.__slots__, record._values()):
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class KeplerParams:
+class KeplerParams(FrozenRecord):
     """Mass, Coulomb coupling, and perturbation strength (beta may be 0)."""
 
-    m: float = 1.0
-    alpha: float = 1.0
-    beta: float = 0.5
+    __slots__ = ("m", "alpha", "beta")
 
-    def __post_init__(self):
+    def __init__(self, m=1.0, alpha=1.0, beta=0.5):
+        super().__init__(m, alpha, beta)
         _require_finite(self)
         if self.m <= 0:
             raise InputError(f"mass must be positive, got {self.m}")
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(FrozenRecord):
     """Canonical point (r, phi, p_r, p_phi), r > 0 and phi inside (-pi, pi)."""
 
-    r: float
-    phi: float
-    pr: float
-    pphi: float
+    __slots__ = ("r", "phi", "pr", "pphi")
 
-    def __post_init__(self):
+    def __init__(self, r, phi, pr, pphi):
+        super().__init__(r, phi, pr, pphi)
         _require_finite(self)
         if self.r <= 0:
             raise InputError(f"r must be positive, got {self.r}")
@@ -228,12 +222,11 @@ def sample_points(samples: int, seed: int):
     return pts
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    name: str
-    samples: int
-    max_rel_residual: float
-    passed: bool
+class IdentityResult(FrozenRecord):
+    __slots__ = ("name", "samples", "max_rel_residual", "passed")
+
+    def __init__(self, name, samples, max_rel_residual, passed):
+        super().__init__(name, samples, max_rel_residual, passed)
 
     def to_json(self) -> dict:
         return {
@@ -244,14 +237,11 @@ class IdentityResult:
         }
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    params: KeplerParams
-    samples: int
-    seed: int
-    tol: float
-    identities: tuple[IdentityResult, ...]
-    radial_term: dict | None = None
+class OracleReport(FrozenRecord):
+    __slots__ = ("params", "samples", "seed", "tol", "identities", "radial_term")
+
+    def __init__(self, params, samples, seed, tol, identities, radial_term=None):
+        super().__init__(params, samples, seed, tol, identities, radial_term)
 
     @property
     def all_pass(self) -> bool:

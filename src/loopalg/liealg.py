@@ -448,9 +448,11 @@ def algebra_from_matrices(mats: Sequence, names=None) -> LieAlgebra:
 
     The matrices must be linearly independent and their pairwise commutators
     must lie in their span (checked by one exact elimination over the
-    generators and all commutators).
+    generators and all commutators).  Each generator A_i is scaled once to
+    the integer matrix M_i = s_i A_i, s_i the lcm of its denominators, so the
+    commutators [M_i, M_j] = s_i s_j [A_i, A_j] multiply only ints.
     """
-    mats = [[[as_fraction(x) for x in row] for row in m] for m in mats]
+    mats = [[[x if type(x) is int else as_fraction(x) for x in row] for row in m] for m in mats]
     n, names = _shape(len(mats), names)
     if n == 0:
         return LieAlgebra(0, {}, names=[])
@@ -458,14 +460,17 @@ def algebra_from_matrices(mats: Sequence, names=None) -> LieAlgebra:
     for m in mats:
         if len(m) != d or any(len(row) != d for row in m):
             raise WrongDimension("generators must be square matrices of equal size")
+    scale = [lcm(*[x.denominator for row in m for x in row]) for m in mats]
+    ints = [[[x.numerator * (s // x.denominator) for x in row] for row in m]
+            for m, s in zip(mats, scale)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    comms = [linalg.mat_sub(linalg.mat_mul(mats[i], mats[j]), linalg.mat_mul(mats[j], mats[i]))
+    comms = [linalg.mat_sub(linalg.mat_mul(ints[i], ints[j]), linalg.mat_mul(ints[j], ints[i]))
              for i, j in pairs]
     # columns are the flattened generators, then the commutators: the
     # generators are independent iff they take the first n pivots, and a
     # commutator is then in their span iff its entries below row n vanish
     red, pivots = linalg.row_reduce(
-        [[m[r][c] for m in mats + comms] for r in range(d) for c in range(d)]
+        [[m[r][c] for m in ints + comms] for r in range(d) for c in range(d)]
     )
     if pivots[:n] != list(range(n)):
         raise LinearlyDependent("matrix generators are linearly dependent")
@@ -473,5 +478,7 @@ def algebra_from_matrices(mats: Sequence, names=None) -> LieAlgebra:
     for col, (i, j) in enumerate(pairs, start=n):
         if any(row[col] for row in red[n:]):
             raise NotInSpan(i, j)
-        layer.update(((i, j, k), red[k][col]) for k in range(n) if red[k][col])
+        # [M_i, M_j] = sum_k c_k M_k gives [A_i, A_j] = sum_k c_k s_k / (s_i s_j) A_k
+        layer.update(((i, j, k), red[k][col] * Fraction(scale[k], scale[i] * scale[j]))
+                     for k in range(n) if red[k][col])
     return LieAlgebra._from_layers(n, {0: layer}, names)

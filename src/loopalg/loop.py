@@ -26,13 +26,12 @@ the same conditions on the m_i.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
 from fractions import Fraction
-from importlib import resources
 from typing import Sequence
 
 from .liealg import JacobiViolation, LieAlgebra
-from .scalars import InputError, Rejected, add_term, as_fraction, as_int
+from .scalars import FrozenRecord, InputError, Rejected, add_term, as_fraction, as_int
 
 DEFAULT_MAX_LEVEL = 8
 _BUNDLED = ("h2", "l1", "l2")
@@ -64,11 +63,13 @@ class BracketMismatch(Rejected):
     """A generator map does not carry base brackets to host brackets."""
 
 
-@dataclass(frozen=True)
-class LoopElement:
+class LoopElement(FrozenRecord):
     """Homogeneous element sum c * h**n X_i, stored as (i, n, c) terms."""
 
-    terms: tuple[tuple[int, int, Fraction], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        super().__init__(terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -271,8 +272,9 @@ def bundled_spec(name: str) -> LoopSpec:
     """One of the specs shipped with the package: "h2", "l1" or "l2"."""
     if name not in _BUNDLED:
         raise SpecFormatError(f"unknown bundled spec {name!r}; choose from {_BUNDLED}")
-    text = resources.files("loopalg").joinpath("specs", f"{name}.json").read_text("utf-8")
-    return LoopSpec.from_json(json.loads(text))
+    path = os.path.join(os.path.dirname(__file__), "specs", f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
+        return LoopSpec.from_json(json.load(fh))
 
 
 def loop_bracket(spec: LoopSpec, x: LoopElement, y: LoopElement) -> LoopElement:
@@ -314,12 +316,17 @@ def _class_name(name: str, level: int) -> str:
 
 def _level0_quotient(spec: LoopSpec, m) -> LieAlgebra:
     """Towers collapsed onto their level-m_i classes, constants
-    coeff * eps**(m_i + m_j + p - m_k); unchecked, the caller validates."""
+    coeff * eps**(m_i + m_j + p - m_k); unchecked, the caller validates.
+    InputError if two classes get the same name (A at level 1 and a
+    generator named "h*A")."""
     layers: dict = {}
     for (i, j), terms in spec.base_brackets().items():
         for k, c, p in terms:
             layers.setdefault(m[i] + m[j] + p - m[k], {})[i, j, k] = c
     names = [_class_name(n, lvl) for n, lvl in zip(spec.names, m)]
+    if len(set(names)) != len(names):
+        clash = next(name for name in names if names.count(name) > 1)
+        raise InputError(f"levels {list(m)} give two quotient classes the name {clash!r}")
     return LieAlgebra._from_layers(spec.n_generators, layers, names)
 
 
@@ -339,12 +346,13 @@ def factor_algebra(spec: LoopSpec, selection=None) -> LieAlgebra:
     return _level0_quotient(spec, m)
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(FrozenRecord):
     """Result of a verified embedding; missing = host tower slots not covered."""
 
-    window: int
-    missing: tuple[tuple[str, int], ...]
+    __slots__ = ("window", "missing")
+
+    def __init__(self, window, missing):
+        super().__init__(window, missing)
 
     @property
     def codimension(self) -> int:

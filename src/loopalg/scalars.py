@@ -66,6 +66,46 @@ def add_term(acc: dict, key, value) -> None:
         acc.pop(key, None)
 
 
+class FrozenRecord:
+    """Immutable record whose fields are the subclass's ``__slots__``.
+
+    A subclass ``__init__`` states the constructor signature and passes the
+    field values, in ``__slots__`` order, to this one.  ``repr``, ``==`` and
+    hash go by the field values and assignment raises AttributeError, as for
+    a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), self._values()
+
+
 # An exact eps**q costs about max(|numerator(q)|, denominator(q)) times the
 # bit length of eps; past this many bits the input is refused, not computed.
 MAX_POWER_BITS = 1 << 16

@@ -309,6 +309,27 @@ def test_malformed_input_file_exits_64_with_one_line(tmp_path, capsys, name):
     assert _rejected(*run(capsys, "validate", str(path)))
 
 
+# a generator named like a quotient class of another: A at level 1 is "h*A"
+_CLASH_SPEC = {"s": 1, "generators": [{"name": "A", "grade": 0}, {"name": "h*A", "grade": 1},
+                                      {"name": "h^2*A", "grade": 2}], "brackets": []}
+
+
+@pytest.mark.parametrize("levels, clash", [("1,0,0", "h*A"), ("2,1,0", "h^2*A")])
+def test_quotient_refuses_clashing_class_names(tmp_path, capsys, levels, clash):
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(_CLASH_SPEC))
+    for argv in (["--levels", levels], ["--levels", levels, "--format", "json"]):
+        code, out, err = run(capsys, "quotient", str(path), *argv)
+        assert _rejected(code, out, err) and repr(clash) in err and not out, argv
+    path.write_text(json.dumps({**_CLASH_SPEC, "selection": [int(m) for m in levels.split(",")]}))
+    assert _rejected(*run(capsys, "quotient", str(path)))
+    with pytest.raises(scalars.InputError):
+        loop.factor_algebra(loop.LoopSpec.from_json(_CLASH_SPEC), [int(m) for m in levels.split(",")])
+    # levels that keep the names distinct still quotient
+    code, out, err = run(capsys, "quotient", str(path), "--levels", "1,2,0")
+    assert code == 0 and not err and "generators: h*A, h^2*h*A, h^2*A" in out
+
+
 def test_integer_fields_load_when_they_hold_integers(tmp_path, capsys):
     # the well-formed versions of the files above: only the field type differs
     algebra = {"dim": 3, "brackets": [_BRACKET]}

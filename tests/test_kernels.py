@@ -2,8 +2,9 @@
 
 Each reference below is the earlier implementation of a kernel:
 Gauss-Jordan elimination over Fraction, congruence diagonalization over
-Fraction, the dense adjoint table behind the structural invariants, and the
-basis change that multiplies PuiseuxScalars term by term.  The kernels must return exactly what the references return.
+Fraction, the dense adjoint table behind the structural invariants, the
+basis change that multiplies PuiseuxScalars term by term, and matrix
+commutators multiplied out in Fraction.  The kernels must return exactly what the references return.
 The layered storage of ``LieAlgebra`` is checked the same way: its round
 trips, substitutions and rescalings against PuiseuxScalar arithmetic on
 each constant.
@@ -19,6 +20,7 @@ import pytest
 from conftest import CLASSIFIED, NON_UNIMODULAR
 from loopalg import (
     LieAlgebra,
+    LinearlyDependent,
     PuiseuxScalar,
     SymbolicAlgebra,
     algebra_from_matrices,
@@ -34,6 +36,7 @@ from loopalg import (
 )
 from loopalg import linalg
 from loopalg.linalg import invert_matrix, mat_mul, mat_sub, matrix_rank, row_reduce
+from loopalg.liealg import NotInSpan
 from loopalg.scalars import add_term
 
 
@@ -168,6 +171,22 @@ def ref_change_basis(alg, t):
     return LieAlgebra(n, table, names=alg.names)
 
 
+def ref_algebra_from_matrices(mats, names=None):
+    """Structure constants from Fraction commutators solved by gauss_jordan."""
+    mats = [[[Fraction(x) for x in row] for row in m] for m in mats]
+    n, d = len(mats), len(mats[0])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    comms = [mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i])) for i, j in pairs]
+    red, pivots = gauss_jordan(
+        [[m[r][c] for m in mats + comms] for r in range(d) for c in range(d)])
+    assert pivots[:n] == list(range(n))
+    brackets = {}
+    for col, (i, j) in enumerate(pairs, start=n):
+        assert not any(row[col] for row in red[n:])
+        brackets[(i, j)] = {k: red[k][col] for k in range(n) if red[k][col]}
+    return LieAlgebra(n, brackets, names=names)
+
+
 # -- inputs ------------------------------------------------------------------------
 
 def random_entry(rng):
@@ -220,13 +239,62 @@ def random_basis(rng, n):
             return t
 
 
-def so31():
-    """so(3,1) from the 4x4 rotation and boost matrices."""
+def lorentz_matrices():
+    """4x4 rotations, boosts E_i4 + E_4i and translations E_i4, as int matrices."""
     def e(*cells):
-        return [[Fraction(int((r, c) in cells)) for c in range(4)] for r in range(4)]
+        return [[int((r, c) in cells) for c in range(4)] for r in range(4)]
 
     rotations = [mat_sub(e((k, j)), e((j, k))) for j, k in ((1, 2), (2, 0), (0, 1))]
-    return algebra_from_matrices(rotations + [e((i, 3), (3, i)) for i in range(3)])
+    return (rotations, [e((i, 3), (3, i)) for i in range(3)], [e((i, 3)) for i in range(3)])
+
+
+def so31():
+    """so(3,1) from the 4x4 rotation and boost matrices."""
+    rotations, boosts, _ = lorentz_matrices()
+    return algebra_from_matrices(rotations + boosts)
+
+
+def conjugate(mats, p):
+    """p^-1 A p for each A: the same structure constants, non-integer entries."""
+    p_inv = invert_matrix(p)
+    return [mat_mul(mat_mul(p_inv, a), p) for a in mats]
+
+
+# -- matrix commutators ------------------------------------------------------------
+
+def test_algebra_from_matrices_matches_fraction_commutators():
+    rng = random.Random(4613)
+    rotations, boosts, translations = lorentz_matrices()
+    half = Fraction(1, 2)
+    sl2 = [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]]
+    families = [rotations + boosts, rotations + translations, sl2,
+                [[[x * half for x in row] for row in m] for m in sl2]]
+    cases = [(mats, None) for mats in families]
+    for mats in families:
+        d = len(mats[0])
+        for _ in range(3):
+            # conjugated and rescaled generators: entries with mixed denominators
+            factors = [Fraction(rng.randint(1, 5), rng.choice((1, 2, 3, 7))) for _ in mats]
+            scaled = [[[x * f for x in row] for row in m] for m, f in zip(mats, factors)]
+            cases.append((conjugate(scaled, random_basis(rng, d)), None))
+    cases.append((rotations + boosts, ["J1", "J2", "J3", "B1", "B2", "B3"]))
+    for mats, names in cases:
+        alg = algebra_from_matrices(mats, names=names)
+        assert alg.to_json() == ref_algebra_from_matrices(mats, names).to_json()
+    assert any(Fraction(t["c"]).denominator > 1
+               for case in cases[len(families):]
+               for entry in algebra_from_matrices(case[0]).to_json()["brackets"]
+               for t in entry["terms"])
+
+
+def test_algebra_from_matrices_errors_on_rational_generators():
+    p = [[Fraction(1, 2), 1], [Fraction(1, 3), 2]]
+    d, e, f = conjugate([[[Fraction(1, 3), 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]], p)
+    with pytest.raises(LinearlyDependent):
+        algebra_from_matrices([e, [[x * Fraction(3, 7) for x in row] for row in e]])
+    with pytest.raises(NotInSpan) as err:  # [d, e] = e / 3, but [e, f] leaves the span
+        algebra_from_matrices([d, e, f])
+    assert err.value.pair == (1, 2)
 
 
 # -- row reduction -------------------------------------------------------------------
