@@ -41,10 +41,11 @@ class _Parser(argparse.ArgumentParser):
 # -- input handling ---------------------------------------------------------
 
 def _read_json(path):
-    """Parse a JSON file; bundled spec names (h2.json, ...) resolve without a file."""
+    """Parse a JSON file; a bundled spec name (h2.json, ...) with no such file
+    reads the spec shipped with the package."""
     base = os.path.basename(path)
     if not os.path.exists(path) and base in {f"{n}.json" for n in loop._BUNDLED}:
-        return bundled_spec(base[:-5]).to_json()
+        path = loop.bundled_path(base[:-5])
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -137,7 +138,7 @@ def _cmd_validate(args):
     if "generators" in data:
         spec = LoopSpec.from_json(data)  # checks grade law and Jacobi
         if spec.selection is not None:
-            check_selection(spec, spec.selection)
+            factor_algebra(spec)  # the selection is closed and names distinct classes
         kind = "loop spec"
         detail = {"kind": kind, "generators": list(spec.names), "s": spec.s, "ok": True}
     else:

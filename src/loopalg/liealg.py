@@ -33,10 +33,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
-from .scalars import InputError, PuiseuxScalar, Rejected, add_term, as_fraction, as_int, eps_power, signature
+from .scalars import (FrozenRecord, InputError, PuiseuxScalar, Rejected, add_term, as_fraction,
+                      as_int, eps_power, scale_to_integers, signature)
 
 CLASS_LABELS = ("so3", "so21", "e2", "e11", "heisenberg", "abelian3", "other")
 
@@ -114,7 +114,7 @@ class LieAlgebra:
             i, j = as_int(i, "i"), as_int(j, "j")
             if not (0 <= i < j < self._dim):
                 raise AlgebraFormatError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-            for k, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            for k, coeff in terms.items() if hasattr(terms, "items") else terms:
                 k = as_int(k, "k")
                 if not 0 <= k < self._dim:
                     raise AlgebraFormatError(f"bracket target {k} out of range")
@@ -223,8 +223,7 @@ class LieAlgebra:
         if inv is None:
             raise LinearlyDependent("change-of-basis matrix is singular")
         tinv, dinv = inv
-        dt = lcm(*[x.denominator for row in t for x in row])
-        t = [[x.numerator * (dt // x.denominator) for x in row] for row in t]
+        dt, t = scale_to_integers(t)
         # linear in the constants: each layer transforms on its own
         scaled = {q: _integer_layer(layer) for q, layer in self._layers.items()}
         pairs = {(i, j) for layer in self._layers.values() for i, j, _ in layer}
@@ -291,10 +290,8 @@ def _check_weights(alg: LieAlgebra, weights) -> tuple[Fraction, ...]:
 
 def _integer_layer(layer) -> tuple[int, dict]:
     """(d, {key: d * c}) with d the lcm of the layer's denominators."""
-    # star-args from a list: a tuple built from a generator is resized, and
-    # the interpreter keeps every freed one in its tuple free list
-    d = lcm(*[c.denominator for c in layer.values()])
-    return d, {key: c.numerator * (d // c.denominator) for key, c in layer.items()}
+    d, (row,) = scale_to_integers([layer.values()])
+    return d, dict(zip(layer, row))
 
 
 def _fraction_layer(layer, den) -> dict:
@@ -302,15 +299,11 @@ def _fraction_layer(layer, den) -> dict:
     return {key: Fraction(c, den) for key, c in layer.items()}
 
 
-class _Invariants(NamedTuple):
+class _Invariants(FrozenRecord):
     """Invariants of f * C for the lcm f of the denominators of C: the ranks
     are those of C, the Killing form is f**2 * B and tr ad is f * tr ad."""
 
-    derived_dim: int
-    center_rows: list
-    killing: list
-    trace_ad: list
-    scale: int
+    __slots__ = ("derived_dim", "center_rows", "killing", "trace_ad", "scale")
 
     @property
     def center_dim(self) -> int:
@@ -443,7 +436,7 @@ def rescale_basis(alg: LieAlgebra, weights) -> LieAlgebra:
     return LieAlgebra._from_layers(alg.dim, layers, alg.names)
 
 
-def algebra_from_matrices(mats: Sequence, names=None) -> LieAlgebra:
+def algebra_from_matrices(mats, names=None) -> LieAlgebra:
     """Structure constants of a list of square rational matrices under [A,B] = AB - BA.
 
     The matrices must be linearly independent and their pairwise commutators
@@ -460,9 +453,7 @@ def algebra_from_matrices(mats: Sequence, names=None) -> LieAlgebra:
     for m in mats:
         if len(m) != d or any(len(row) != d for row in m):
             raise WrongDimension("generators must be square matrices of equal size")
-    scale = [lcm(*[x.denominator for row in m for x in row]) for m in mats]
-    ints = [[[x.numerator * (s // x.denominator) for x in row] for row in m]
-            for m, s in zip(mats, scale)]
+    scale, ints = zip(*[scale_to_integers(m) for m in mats])
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     comms = [linalg.mat_sub(linalg.mat_mul(ints[i], ints[j]), linalg.mat_mul(ints[j], ints[i]))
              for i, j in pairs]
@@ -470,7 +461,7 @@ def algebra_from_matrices(mats: Sequence, names=None) -> LieAlgebra:
     # generators are independent iff they take the first n pivots, and a
     # commutator is then in their span iff its entries below row n vanish
     red, pivots = linalg.row_reduce(
-        [[m[r][c] for m in ints + comms] for r in range(d) for c in range(d)]
+        [[m[r][c] for m in (*ints, *comms)] for r in range(d) for c in range(d)]
     )
     if pivots[:n] != list(range(n)):
         raise LinearlyDependent("matrix generators are linearly dependent")

@@ -1,7 +1,7 @@
 """Small exact linear algebra kernel over the rationals (rank, inverse).
 
-Entries are ints or Fractions.  Every kernel scales each row to integers by
-the lcm of its denominators, eliminates in int arithmetic and builds a
+Entries are ints or Fractions.  Every kernel scales the matrix to integers
+(``scalars.scale_to_integers``), eliminates in int arithmetic and builds a
 Fraction only for an entry it returns (fraction-free elimination): the rank
 builds none, and the inverse divides its block by one common denominator.
 """
@@ -11,16 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-
-def _integer_rows(rows):
-    """Each row times the lcm of its denominators: the same row space, in ints."""
-    out = []
-    for row in rows:
-        # star-args from a list: a tuple built from a generator is resized, and
-        # the interpreter keeps every freed one in its tuple free list
-        den = lcm(*[x.denominator for x in row])
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
+from .scalars import scale_to_integers
 
 
 def _eliminate(m, reduce=True):
@@ -58,7 +49,7 @@ def row_reduce(rows):
     The RREF is unique, so the result equals Gauss-Jordan elimination over
     Fraction; each pivot row is divided by its pivot once, at the end.
     """
-    m = _integer_rows(rows)
+    m = scale_to_integers(rows)[1]
     pivots = _eliminate(m)
     ncols = len(m[0]) if m else 0
     red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
@@ -66,13 +57,14 @@ def row_reduce(rows):
 
 
 def matrix_rank(rows) -> int:
-    return len(_eliminate(_integer_rows(rows), reduce=False))
+    return len(_eliminate(scale_to_integers(rows)[1], reduce=False))
 
 
 def _integer_inverse(rows):
     """(M, d) with M integer and M / d the inverse of a square rational matrix, or None."""
     n = len(rows)
-    m = _integer_rows([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    m = scale_to_integers([list(row) + [int(i == j) for j in range(n)]
+                           for i, row in enumerate(rows)])[1]
     if _eliminate(m) != list(range(n)):
         return None
     den = lcm(*[m[r][r] for r in range(n)])

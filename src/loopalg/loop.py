@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from typing import Sequence
 
 from .liealg import JacobiViolation, LieAlgebra
 from .scalars import FrozenRecord, InputError, Rejected, add_term, as_fraction, as_int
@@ -88,7 +87,7 @@ class LoopElement(FrozenRecord):
 class TowerSelection(tuple):
     """Minimal retained level per tower; plain tuple of nonnegative ints."""
 
-    def __new__(cls, levels: Sequence[int]):
+    def __new__(cls, levels):
         levels = tuple(as_int(m, "selection level") for m in levels)
         if any(m < 0 for m in levels):
             raise SpecFormatError("selection levels must be nonnegative")
@@ -268,12 +267,16 @@ class LoopSpec:
         return f"LoopSpec(s={self._s}, generators=[{gens}])"
 
 
-def bundled_spec(name: str) -> LoopSpec:
-    """One of the specs shipped with the package: "h2", "l1" or "l2"."""
+def bundled_path(name: str) -> str:
+    """The file of a spec shipped with the package: "h2", "l1" or "l2"."""
     if name not in _BUNDLED:
         raise SpecFormatError(f"unknown bundled spec {name!r}; choose from {_BUNDLED}")
-    path = os.path.join(os.path.dirname(__file__), "specs", f"{name}.json")
-    with open(path, encoding="utf-8") as fh:
+    return os.path.join(os.path.dirname(__file__), "specs", f"{name}.json")
+
+
+def bundled_spec(name: str) -> LoopSpec:
+    """One of the specs shipped with the package: "h2", "l1" or "l2"."""
+    with open(bundled_path(name), encoding="utf-8") as fh:
         return LoopSpec.from_json(json.load(fh))
 
 

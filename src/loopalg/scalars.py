@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
-
-RationalLike = Union[Fraction, int, str]
 
 
 class InputError(ValueError):
@@ -41,7 +38,7 @@ class NotSymmetric(Rejected):
     """Signature is only defined for symmetric matrices."""
 
 
-def as_fraction(value: RationalLike) -> Fraction:
+def as_fraction(value: Fraction | int | str) -> Fraction:
     """Coerce ints, strings like "3/2" and Fractions to Fraction; a float or bool is a TypeError."""
     if isinstance(value, Fraction):
         return value
@@ -106,6 +103,18 @@ class FrozenRecord:
         return type(self), self._values()
 
 
+def scale_to_integers(rows) -> tuple[int, list[list[int]]]:
+    """(d, d * rows) for a rational matrix, d the lcm of all its denominators.
+
+    One positive scale for the whole matrix keeps its row space, rank, RREF
+    and inertia, and a result divided by d (or a power of d) undoes it.
+    """
+    # star-args from a list: a tuple built from a generator is resized, and
+    # the interpreter keeps every freed one in its tuple free list
+    d = lcm(*[x.denominator for row in rows for x in row])
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
 # An exact eps**q costs about max(|numerator(q)|, denominator(q)) times the
 # bit length of eps; past this many bits the input is refused, not computed.
 MAX_POWER_BITS = 1 << 16
@@ -160,40 +169,33 @@ def _int_nth_root(k: int, n: int):
     return x if x ** n == k else None
 
 
-class PuiseuxScalar:
+class PuiseuxScalar(FrozenRecord):
     """Immutable finite sum of terms c * eps**q with rational c and q.
 
-    The value type of the bracket tables that ``LieAlgebra`` hands out.  No
-    zero coefficients are stored and exponents are pairwise distinct; ``+``
-    and ``*`` merge terms by exponent and drop exact zeros immediately.
+    The value type of the bracket tables that ``LieAlgebra`` hands out.  Its
+    field ``terms`` holds sorted (exponent, coefficient) pairs, no zero
+    coefficient and no exponent twice; ``+`` and ``*`` merge terms by
+    exponent and drop exact zeros immediately.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         merged: dict[Fraction, Fraction] = {}
         for q, c in terms or ():
             add_term(merged, as_fraction(q), as_fraction(c))
-        object.__setattr__(self, "_terms", tuple(sorted(merged.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PuiseuxScalar is immutable")
+        super().__init__(tuple(sorted(merged.items())))
 
     @classmethod
-    def constant(cls, c: RationalLike) -> "PuiseuxScalar":
+    def constant(cls, c: Fraction | int | str) -> "PuiseuxScalar":
         return cls.monomial(c, 0)
 
     @classmethod
-    def monomial(cls, c: RationalLike, q: RationalLike) -> "PuiseuxScalar":
+    def monomial(cls, c: Fraction | int | str, q: Fraction | int | str) -> "PuiseuxScalar":
         """The single term c * eps**q."""
         return cls([(as_fraction(q), as_fraction(c))])
 
-    @property
-    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Sorted (exponent, coefficient) pairs."""
-        return self._terms
-
-    def substitute(self, eps: RationalLike) -> Fraction:
+    def substitute(self, eps: Fraction | int | str) -> Fraction:
         """Exact value at a rational eps.
 
         At eps = 0 this is the eps -> 0+ limit (NegativeExponent if it does
@@ -201,47 +203,46 @@ class PuiseuxScalar:
         otherwise InexactPower is raised.
         """
         eps = as_fraction(eps)
-        return sum((c * eps_power(eps, q, c) for q, c in self._terms), Fraction(0))
+        return sum((c * eps_power(eps, q, c) for q, c in self.terms), Fraction(0))
 
     def __add__(self, other):
         if not isinstance(other, PuiseuxScalar):
             return NotImplemented
-        return PuiseuxScalar(list(self._terms) + list(other._terms))
+        return PuiseuxScalar(list(self.terms) + list(other.terms))
 
     def __mul__(self, other):
         if isinstance(other, PuiseuxScalar):
             out: list = []
-            for q1, c1 in self._terms:
-                for q2, c2 in other._terms:
+            for q1, c1 in self.terms:
+                for q2, c2 in other.terms:
                     out.append((q1 + q2, c1 * c2))
             return PuiseuxScalar(out)
         if isinstance(other, (int, Fraction)):
-            return PuiseuxScalar([(q, c * other) for q, c in self._terms])
+            return PuiseuxScalar([(q, c * other) for q, c in self.terms])
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, PuiseuxScalar):
-            return self._terms == other._terms
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == (((Fraction(0), Fraction(other)),) if other else ())
+            return self.terms == (((Fraction(0), Fraction(other)),) if other else ())
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self._terms)
+    __hash__ = FrozenRecord.__hash__  # defining __eq__ cleared the inherited one
 
     def __repr__(self):
         return f"PuiseuxScalar({self})"
 
     def __str__(self):
-        if not self._terms:
+        if not self.terms:
             return "0"
         parts = []
-        for q, c in self._terms:
+        for q, c in self.terms:
             if q == 0:
                 parts.append(str(c))
             elif q == 1:
@@ -270,10 +271,7 @@ def signature(form) -> tuple[int, int, int]:
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise NotSymmetric(f"entry ({i},{j}) != ({j},{i})")
-    # star-args from a list: a tuple built from a generator is resized, and
-    # the interpreter keeps every freed one in its tuple free list
-    den = lcm(*[x.denominator for row in m for x in row])
-    a = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    a = scale_to_integers(m)[1]
     pos = rank = 0
     while a:
         if not a[0][0]:

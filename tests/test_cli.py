@@ -323,6 +323,9 @@ def test_quotient_refuses_clashing_class_names(tmp_path, capsys, levels, clash):
         assert _rejected(code, out, err) and repr(clash) in err and not out, argv
     path.write_text(json.dumps({**_CLASH_SPEC, "selection": [int(m) for m in levels.split(",")]}))
     assert _rejected(*run(capsys, "quotient", str(path)))
+    # validate refuses the selection that quotient refuses
+    code, out, err = run(capsys, "validate", str(path))
+    assert _rejected(code, out, err) and repr(clash) in err and not out
     with pytest.raises(scalars.InputError):
         loop.factor_algebra(loop.LoopSpec.from_json(_CLASH_SPEC), [int(m) for m in levels.split(",")])
     # levels that keep the names distinct still quotient

@@ -2,7 +2,7 @@
 
 The oracle module ``loopalg.kepler`` loads on first use: ``import
 loopalg.cli`` and every subcommand but ``verify-kepler`` run without it, and
-without ``dataclasses`` or ``importlib.resources``.  The checks run under
+without ``dataclasses``, ``importlib.resources`` or ``typing``.  The checks run under
 ``python -S``, so that no site hook has loaded a module first.
 """
 
@@ -15,7 +15,7 @@ import loopalg
 
 SRC = str(Path(loopalg.__file__).resolve().parent.parent)
 
-HEAVY = ("loopalg.kepler", "dataclasses", "importlib.resources")
+HEAVY = ("loopalg.kepler", "dataclasses", "importlib.resources", "typing")
 
 # the names `from loopalg import *` gives, as before the oracle was made lazy
 STAR_NAMES = [

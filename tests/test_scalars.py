@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -75,8 +77,15 @@ def test_arithmetic_merges_and_drops_zeros():
 def test_scalar_is_immutable_and_hashable():
     s = P.monomial(1, 1)
     with pytest.raises(AttributeError):
-        s._terms = ()
+        s.terms = ()
     assert len({P.monomial(1, 1), P.monomial(1, 1), P.constant(1)}) == 2
+
+
+def test_scalar_copies_and_pickles():
+    s = P([(0, Fraction(-2, 3)), (Fraction(1, 2), 5), (2, Fraction(7, 4))])
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(twin) is P and twin == s and hash(twin) == hash(s)
+        assert twin.terms == s.terms and str(twin) == str(s)
 
 
 def test_rational_arithmetic_is_exact():
