@@ -32,9 +32,14 @@ Brackets are evaluated by central finite differences,
 with per-coordinate step  step * max(1, |coordinate|); the default step
 1e-6 puts the second-order truncation error far below the default relative
 tolerance of 1e-5.  The identity suite and the loop-spec cross-check share
-one relation form and one sample loop.  At each sample point all named
-observables are evaluated together at the centre and at the 8 stencil
-points, so one stencil gives every named gradient; a closure operand keeps
+one relation form and one sample loop.  At each sample point one
+trig-sharing stencil evaluates every named observable at the centre and at
+the 8 stencil points: phi enters only through cos phi, sin phi, cos phi/2
+and sin phi/2, which are taken once for the 7 points that keep phi, and r
+through sqrt(r), taken once for the 7 points that keep r.  The stencil also
+carries the identity suite's two helper quantities (h0*L and the m*beta
+radial variant of M1) in private trailing slots, so one stencil gives every
+gradient and value the suite needs; a user-supplied closure operand keeps
 its own stencil.
 """
 
@@ -44,7 +49,7 @@ import functools
 import math
 import random
 
-from .scalars import FrozenRecord, InputError
+from .scalars import FrozenRecord, InputError, as_int
 
 _DOMAIN = {"r": (0.5, 3.0), "phi_margin": 0.2, "p": (-2.0, 2.0), "pphi_min": 0.1}
 
@@ -67,6 +72,8 @@ class IdentityFailed(RuntimeError):
 
 def _require_finite(record):
     for name, value in zip(record.__slots__, record._values()):
+        if isinstance(value, bool):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(value):
             raise InputError(f"{name} must be finite, got {value}")
 
@@ -100,26 +107,61 @@ class PhasePoint(FrozenRecord):
         return (self.r, self.phi, self.pr, self.pphi)
 
 
+# Two private trailing slots of the evaluator's tuple, used by the identity
+# suite only: h0*L grades {A1, A2}, and M1 with an m*beta radial term is the
+# variant whose conservation is checked.  No name reaches them.
+_H0_L, _M1_BETA = len(OBSERVABLE_NAMES), len(OBSERVABLE_NAMES) + 1
+
+
 @functools.lru_cache(maxsize=32)
 def _bind(params: KeplerParams):
-    """All observables at one raw point, as a tuple in OBSERVABLE_NAMES order."""
+    """(values, stencil) over one core evaluator of every observable.
+
+    values(r, phi, pr, pphi) is the tuple of all observables at a point, in
+    OBSERVABLE_NAMES order followed by the two private slots.  stencil(x,
+    step) is (values at x, [(values(x + d e_i), values(x - d e_i), 2 d) for
+    each coordinate i]), d = step * max(1, |x_i|), with the trigonometric
+    values and sqrt(r) shared by the points that keep phi or r.
+    """
     m, alpha, beta = params.m, params.alpha, params.beta
     two_m, minus_two_m, m_alpha, m_beta = 2 * m, -2 * m, m * alpha, m * beta
+    n1_shift = m_beta ** 2 / 2
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
 
-    def values(r, phi, pr, pphi):
-        c, s, c2, s2, u = cos(phi), sin(phi), cos(phi / 2), sin(phi / 2), sqrt(r)
+    def at(r, pr, pphi, c, s, c2, s2, u):
+        # c, s, c2, s2 = cos phi, sin phi, cos phi/2, sin phi/2 and u = sqrt(r)
         H0 = (pr * pr + (pphi * pphi) / (r * r)) / two_m - alpha / r
         H = H0 - beta * c2 / u
         h = minus_two_m * H
         A1 = pphi * (pr * s + pphi * c / r) - m_alpha * c
         A2 = -pphi * (pr * c - pphi * s / r) - m_alpha * s
-        M1 = A1 + m_beta * u * s2 * s
-        M2 = A2 - m_beta * u * s2 * c
+        lift = m_beta * u * s2
+        M1 = A1 + lift * s
+        M2 = A2 - lift * c
         S = h * pphi - m_beta * (pr * u * s2 + pphi * c2 / u)
-        return H0, H, pphi, A1, A2, M1, M2, S, h * M1 - m_beta ** 2 / 2, h * M2, h
+        return (H0, H, pphi, A1, A2, M1, M2, S, h * M1 - n1_shift, h * M2, h,
+                minus_two_m * H0 * pphi, (pphi * pphi / r - m_beta) * c + (pr * pphi + lift) * s)
 
-    return values
+    def values(r, phi, pr, pphi):
+        return at(r, pr, pphi, cos(phi), sin(phi), cos(phi / 2), sin(phi / 2), sqrt(r))
+
+    def stencil(x, step):
+        r, phi, pr, pphi = x
+        dr, dphi, dpr, dpphi = [step * max(1.0, abs(v)) for v in x]
+        c, s, c2, s2, u = cos(phi), sin(phi), cos(phi / 2), sin(phi / 2), sqrt(r)
+        rp, rm, fp, fm = r + dr, r - dr, phi + dphi, phi - dphi
+        return at(r, pr, pphi, c, s, c2, s2, u), [
+            (at(rp, pr, pphi, c, s, c2, s2, sqrt(rp)),
+             at(rm, pr, pphi, c, s, c2, s2, sqrt(rm)), 2 * dr),
+            (at(r, pr, pphi, cos(fp), sin(fp), cos(fp / 2), sin(fp / 2), u),
+             at(r, pr, pphi, cos(fm), sin(fm), cos(fm / 2), sin(fm / 2), u), 2 * dphi),
+            (at(r, pr + dpr, pphi, c, s, c2, s2, u),
+             at(r, pr - dpr, pphi, c, s, c2, s2, u), 2 * dpr),
+            (at(r, pr, pphi + dpphi, c, s, c2, s2, u),
+             at(r, pr, pphi - dpphi, c, s, c2, s2, u), 2 * dpphi),
+        ]
+
+    return values, stencil
 
 
 def _key(obs):
@@ -136,7 +178,7 @@ def _key(obs):
 def evaluate(obs, params: KeplerParams, point: PhasePoint) -> float:
     """Closed-form value of an observable (by name or raw closure) at a point."""
     key, x = _key(obs), point.astuple()
-    return key(*x) if callable(key) else _bind(params)(*x)[key]
+    return key(*x) if callable(key) else _bind(params)[0](*x)[key]
 
 
 def _stencil(fn, x, step):
@@ -156,16 +198,16 @@ def _partials(fn, x, step):
     return [(fp - fm) / dd for fp, fm, dd in _stencil(fn, x, step)]
 
 
-def _gradients(keys, values, x, step):
-    """{key: gradient at x}: every named key from one stencil of values, a closure from its own."""
-    grad, cols = {}, None
-    for key in keys:
-        if callable(key):
-            grad[key] = _partials(key, x, step)
-        else:
-            cols = cols or _stencil(values, x, step)
-            grad[key] = [(vp[key] - vm[key]) / dd for vp, vm, dd in cols]
-    return grad
+def _gradient(key, cols, x, step):
+    """Gradient of a key at x: a named key's from the shared stencil cols, a closure's own."""
+    if callable(key):
+        return _partials(key, x, step)
+    return [(vp[key] - vm[key]) / dd for vp, vm, dd in cols]
+
+
+def _check_step(step):
+    if not 0 < step < math.inf:
+        raise InputError(f"step must be finite and positive, got {step}")
 
 
 def _check_boundary(x, step):
@@ -176,15 +218,12 @@ def _check_boundary(x, step):
         )
 
 
-def _bracket_from_partials(pf, pg):
-    return pf[0] * pg[2] - pf[2] * pg[0] + pf[1] * pg[3] - pf[3] * pg[1]
-
-
 def poisson(f, g, params: KeplerParams, point: PhasePoint, step: float = 1e-6) -> float:
     """{f, g} at one phase-space point via central finite differences."""
     x = (point if isinstance(point, PhasePoint) else PhasePoint(*point)).astuple()
+    bracket = poisson_fn(f, g, params, step)
     _check_boundary(x, step)
-    return poisson_fn(f, g, params, step)(*x)
+    return bracket(*x)
 
 
 def poisson_fn(f, g, params: KeplerParams, step: float = 1e-6):
@@ -193,20 +232,24 @@ def poisson_fn(f, g, params: KeplerParams, step: float = 1e-6):
     Nesting finite differences amplifies roundoff, so outer brackets over a
     poisson_fn should use a larger step (1e-4 works well) than the inner one.
     """
-    kf, kg, values = _key(f), _key(g), _bind(params)
+    _check_step(step)
+    kf, kg, stencil = _key(f), _key(g), _bind(params)[1]
+    named = not (callable(kf) and callable(kg))
 
     def value(r, phi, pr, pphi):
-        grad = _gradients({kf: None, kg: None}, values, (r, phi, pr, pphi), step)
-        return _bracket_from_partials(grad[kf], grad[kg])
+        x = (r, phi, pr, pphi)
+        cols = stencil(x, step)[1] if named else None
+        pf, pg = _gradient(kf, cols, x, step), _gradient(kg, cols, x, step)
+        return pf[0] * pg[2] - pf[2] * pg[0] + pf[1] * pg[3] - pf[3] * pg[1]
 
     return value
 
 
 def sample_points(samples: int, seed: int):
     """Deterministic sample of valid phase points, away from r = 0 and the cut."""
-    if samples < 1:
+    if as_int(samples, "samples") < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
-    rng = random.Random(seed)
+    rng = random.Random(as_int(seed, "seed"))
     r_lo, r_hi = _DOMAIN["r"]
     p_lo, p_hi = _DOMAIN["p"]
     margin = _DOMAIN["phi_margin"]
@@ -266,27 +309,36 @@ def _run_identities(identities, params, points, tol, step, n_raising):
 
     A row over observable keys (see _key) states {f, g} = sum float(c) *
     h(x)**p * X(x) over its (c, p, X) terms.  The loop is point-major: at each
-    point the gradients (see _gradients) and values are taken once and shared
-    by all rows.  The first n_raising rows raise IdentityFailed at the first
-    failing sample (the first failing row there); the others are only reported.
+    point one stencil (see _bind) gives every named gradient and value, each
+    power of h is taken once, and all rows share them.  The first n_raising
+    rows raise IdentityFailed at the first failing sample (the first failing
+    row there); the others are only reported.
     """
     if not 0 <= tol < math.inf:
         raise InputError(f"tol must be finite and nonnegative, got {tol}")
-    values, h = _bind(params), _key("h")
+    _check_step(step)
+    stencil, h = _bind(params)[1], _key("h")
     rows = [(name, f, g, [(float(c), p, x) for c, p, x in terms])
             for name, f, g, terms in identities]
     operands = {key: None for _, f, g, _ in rows for key in (f, g)}
     closures = {fn: None for _, f, g, terms in rows
                 for fn in (f, g, *(x for *_, x in terms)) if callable(fn)}
+    powers = {p for *_, terms in rows for _, p, _ in terms}
     worst = [0.0] * len(rows)
     for x in points:
-        grad = _gradients(operands, values, x, step)
-        val = dict(enumerate(values(*x)))
+        _check_boundary(x, step)
+        centre, cols = stencil(x, step)
+        grad = {key: _gradient(key, cols, x, step) for key in operands}
+        val = dict(enumerate(centre))
         val.update((fn, fn(*x)) for fn in closures)
-        hv = val[h]
+        hv = centre[h]
+        hp = {p: hv ** p for p in powers}
         for i, (name, f, g, terms) in enumerate(rows):
-            lhs = _bracket_from_partials(grad[f], grad[g])
-            want = sum(c * hv ** p * val[fn] for c, p, fn in terms)
+            pf, pg = grad[f], grad[g]
+            lhs = pf[0] * pg[2] - pf[2] * pg[0] + pf[1] * pg[3] - pf[3] * pg[1]
+            want = 0  # summed from 0, left to right, as sum() adds a row of floats
+            for c, p, key in terms:
+                want += c * hp[p] * val[key]
             scale = max(1.0, abs(lhs), abs(want), abs(val[f]), abs(val[g]))
             res = abs(lhs - want) / scale
             if res > worst[i] or math.isnan(res):  # once NaN, worst stays NaN
@@ -315,23 +367,12 @@ def identity_suite(
     fail_fast, IdentityFailed is raised at the first failing sample; the
     m*beta variant, which fails by design unless alpha == beta, never raises.
     """
-    values = _bind(params)
-    m, alpha, beta = params.m, params.alpha, params.beta
-    cos, sin, sqrt = math.cos, math.sin, math.sqrt
-
-    def h0_L(r, phi, pr, pphi):  # {A1, A2} is graded by the unperturbed h0
-        return -2 * m * values(r, phi, pr, pphi)[0] * pphi  # [0] is H0
-
-    def M1_beta_variant(r, phi, pr, pphi):  # M1 with an m*beta radial term
-        return (pphi * pphi / r - m * beta) * cos(phi) + (
-            pr * pphi + m * beta * sqrt(r) * sin(phi / 2)
-        ) * sin(phi)
-
+    alpha, beta = params.alpha, params.beta
     conserved = ("M1", "M2", "S", "N1", "N2") + (("L",) if beta == 0 else ())
     table = [(f"{{H,{x}}}=0", "H", x, ()) for x in conserved] + [
         ("{L,A1}=A2", "L", "A1", [(1, 0, "A2")]),
         ("{A2,L}=A1", "A2", "L", [(1, 0, "A1")]),
-        ("{A1,A2}=h0*L", "A1", "A2", [(1, 0, h0_L)]),
+        ("{A1,A2}=h0*L", "A1", "A2", [(1, 0, _H0_L)]),
         ("{M1,M2}=S", "M1", "M2", [(1, 0, "S")]),
         ("{S,M1}=h*M2", "S", "M1", [(1, 1, "M2")]),
         ("{M2,S}=h*M1-(m*beta)^2/2", "M2", "S", [(1, 0, "N1")]),
@@ -341,9 +382,13 @@ def identity_suite(
         ("{N2,S}=h*N1", "N2", "S", [(1, 1, "N1")]),
         ("{S,N1}=h*N2", "S", "N1", [(1, 1, "N2")]),
     ]
-    rows = [(name, _key(f), _key(g), [(c, p, _key(x)) for c, p, x in terms])
+
+    def key(obs):  # a name, or one of the private slots of the evaluator
+        return obs if isinstance(obs, int) else _key(obs)
+
+    rows = [(name, key(f), key(g), [(c, p, key(x)) for c, p, x in terms])
             for name, f, g, terms in table]
-    variant_row = ("{H,M1 with m*beta radial term}=0", _key("H"), M1_beta_variant, ())
+    variant_row = ("{H,M1 with m*beta radial term}=0", _key("H"), _M1_BETA, ())
     *results, variant = _run_identities(rows + [variant_row], params,
                                         sample_points(samples, seed), tol, step,
                                         len(rows) if fail_fast else 0)
@@ -375,6 +420,9 @@ def cross_check_loop_spec(
     poisson(bind i, bind j) = sum c * h(x)**p * bind k (x).
     """
     names = spec.names
+    missing = [name for name in names if name not in binding]
+    if missing:
+        raise InputError(f"binding has no observable for spec generator(s) {', '.join(missing)}")
     bound = {name: _key(binding[name]) for name in names}
     rows = []
     for (i, j), terms in sorted(spec.base_brackets().items()):

@@ -326,3 +326,90 @@ def test_fail_fast_raises_at_first_failing_sample():
                               samples=30, seed=1, fail_fast=True)
     assert info.value.point == sample_points(30, 1)[0]
     assert info.value.name == "{M2,S}=1*N1"
+
+
+L1, L1_BINDING = bundled_spec("l1"), {"M2": "M2", "S": "S", "N1": "N1"}
+
+
+@pytest.mark.parametrize("step", [0, 0.0, -1e-6, math.nan, math.inf])
+def test_step_must_be_finite_and_positive(step):
+    # step = 0 divided by zero, and step = nan gave a NaN report
+    point = PhasePoint(1.0, 0.3, 0.1, 1.0)
+    calls = (
+        lambda: identity_suite(PARAMS, samples=3, step=step),
+        lambda: cross_check_loop_spec(L1, L1_BINDING, PARAMS, samples=3, step=step),
+        lambda: poisson("H", "L", PARAMS, point, step=step),
+        lambda: poisson_fn("M1", "M2", PARAMS, step=step),
+    )
+    for call in calls:
+        with pytest.raises(InputError, match="step must be finite and positive"):
+            call()
+
+
+def test_step_that_leaves_the_domain_is_too_close_to_the_boundary():
+    # with step = 1, r - d <= 0 at every sample: the stencil would divide by zero
+    with pytest.raises(BoundaryTooClose):
+        identity_suite(PARAMS, samples=3, step=1.0)
+    with pytest.raises(BoundaryTooClose):
+        cross_check_loop_spec(L1, L1_BINDING, PARAMS, samples=3, step=1.0)
+    # a step that keeps every sample inside the domain still runs
+    assert identity_suite(PARAMS, samples=3, step=1e-4).all_pass
+
+
+def test_integer_fields_take_only_integers():
+    for bad in ({"samples": True}, {"samples": 5.0}, {"seed": 1.5}, {"seed": True},
+                {"seed": "1"}, {"seed": None}):
+        kwargs = {"samples": 5, **bad}
+        with pytest.raises(TypeError, match="must be an integer"):
+            identity_suite(PARAMS, **kwargs)
+        with pytest.raises(TypeError, match="must be an integer"):
+            cross_check_loop_spec(L1, L1_BINDING, PARAMS, **kwargs)
+    with pytest.raises(TypeError, match="samples must be an integer"):
+        sample_points(True, 1)
+
+
+def test_real_fields_refuse_bool():
+    for bad in ({"m": True}, {"alpha": False}, {"beta": True}):
+        with pytest.raises(TypeError, match="must be a real number"):
+            KeplerParams(**bad)
+    with pytest.raises(TypeError, match="must be a real number"):
+        PhasePoint(1.0, 0.3, True, 1.0)
+    # int and float both stay accepted
+    assert KeplerParams(2, 1, 0) == KeplerParams(2.0, 1.0, 0.0)
+    assert evaluate("H0", KeplerParams(1, 1, 0), PhasePoint(1, 0, 0, 1)) == -0.5
+
+
+def test_binding_must_name_every_spec_generator():
+    with pytest.raises(InputError, match=r"generator\(s\) N1$"):
+        cross_check_loop_spec(L1, {"M2": "M2", "S": "S"}, PARAMS, samples=3)
+    with pytest.raises(InputError, match=r"generator\(s\) S, N1$"):
+        cross_check_loop_spec(L1, {"M2": "M2"}, PARAMS, samples=3)
+
+
+@pytest.fixture
+def fresh_bind():
+    from loopalg import kepler
+
+    kepler._bind.cache_clear()  # so the evaluator binds the patched math functions
+    yield kepler
+    kepler._bind.cache_clear()
+
+
+@pytest.mark.parametrize("params", [PARAMS, PURE])
+def test_one_trig_sharing_stencil_per_sample(fresh_bind, monkeypatch, params):
+    # per sample: cos, sin of phi and phi/2 at the centre and at phi +- d (12
+    # calls), sqrt at r and r +- d (3 calls), and no closure gradient at all
+    counts = dict.fromkeys(("trig", "sqrt", "partials"), 0)
+
+    def counting(group, fn):
+        def wrapper(*args):
+            counts[group] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, group in (("cos", "trig"), ("sin", "trig"), ("sqrt", "sqrt")):
+        monkeypatch.setattr(math, name, counting(group, getattr(math, name)))
+    monkeypatch.setattr(fresh_bind, "_partials", counting("partials", fresh_bind._partials))
+    report = identity_suite(params, samples=20, seed=4)
+    assert report.all_pass
+    assert counts == {"trig": 12 * 20, "sqrt": 3 * 20, "partials": 0}

@@ -24,7 +24,7 @@ from loopalg import (
     poisson_fn,
     sample_points,
 )
-from loopalg.kepler import OBSERVABLE_NAMES, IdentityResult
+from loopalg.kepler import OBSERVABLE_NAMES, IdentityResult, OracleReport
 
 PARAM_SETS = (KeplerParams(1, 1, 0.5), KeplerParams(1, 1, 0), KeplerParams(2, 0.5, 0.75),
               KeplerParams(0.3, 2.5, -1.7))
@@ -261,3 +261,64 @@ def test_fail_fast_raises_like_reference(params):
     for ours, reference in pairs:
         assert raised(ours) == raised(reference)
     assert raised(pairs[1][1]) is not None  # the wrong binding fails at some sample
+
+
+def outcome(call):
+    """The (name, point, residual) that a fail-fast run raised, else what it returned."""
+    try:
+        return call()
+    except IdentityFailed as exc:
+        return exc.name, exc.point, exc.residual
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+@pytest.mark.parametrize("step", [1e-4, 1e-5])
+def test_fail_fast_at_larger_steps_matches_reference(params, step):
+    for tol in (1e-5, 1e-9):
+        ours = outcome(lambda: identity_suite(params, samples=30, seed=3, tol=tol, step=step,
+                                              fail_fast=True))
+        if isinstance(ours, OracleReport):
+            ours = list(ours.identities), ours.radial_term["m_beta_variant_max_rel_residual"]
+        ref = outcome(lambda: reference_suite(params, 30, 3, tol=tol, step=step, fail_fast=True))
+        if isinstance(ref[1], IdentityResult):
+            ref = ref[0], ref[1].max_rel_residual
+        assert ours == ref, tol
+        for name, binding in BINDINGS:
+            spec = bundled_spec(name)
+            ours = outcome(lambda: cross_check_loop_spec(spec, binding, params, samples=30, seed=3,
+                                                         tol=tol, step=step, fail_fast=True))
+            ours = list(ours.identities) if isinstance(ours, OracleReport) else ours
+            ref = outcome(lambda: reference_cross(spec, binding, params, 30, 3, tol=tol, step=step,
+                                                  fail_fast=True))
+            assert ours == ref, (tol, name, binding)
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_near_the_branch_cut_matches_reference(params):
+    # phi within 0.25 of the cut at +-pi: the stencil's phi +- d points move
+    # the half-angle functions most there
+    ref = reference_observables(params)
+    user_n1 = raw("N1", params)
+    cut = [(1.7, math.pi - 1e-3, 0.4, -1.2), (0.6, 0.1 - math.pi, -1.5, 0.3),
+           (2.9, math.pi - 0.24, 1.9, 1.1), (1.1, 0.2 - math.pi, 0.0, -0.8)]
+    for x in cut:
+        for name in OBSERVABLE_NAMES:
+            assert evaluate(name, params, PhasePoint(*x)) == ref[name](*x), (name, x)
+        for f, g in (("H", "M1"), ("M2", "S"), ("S", "N1"), ("N1", "N2"), ("A1", "A2"),
+                     (user_n1, "M2"), ("H", user_n1)):
+            rf, rg = ref.get(f, f), ref.get(g, g)
+            want = bracket(reference_partials(rf, x, 1e-6), reference_partials(rg, x, 1e-6))
+            assert poisson(f, g, params, x) == want, (f, g, x)
+    # seeds 7 and 17 sample points within 0.25 of the cut, seed 7 on both sides
+    for seed in (7, 17):
+        near = [x for x in sample_points(40, seed) if abs(x[1]) > math.pi - 0.25]
+        assert near and (seed != 7 or {math.copysign(1, x[1]) for x in near} == {-1, 1})
+        report = identity_suite(params, samples=40, seed=seed, tol=1e-9)
+        results, variant = reference_suite(params, 40, seed, tol=1e-9)
+        assert list(report.identities) == results
+        assert report.radial_term["m_beta_variant_max_rel_residual"] == variant.max_rel_residual
+        for name, binding in BINDINGS:
+            report = cross_check_loop_spec(bundled_spec(name), binding, params, samples=40,
+                                           seed=seed, tol=1e-9)
+            assert list(report.identities) == reference_cross(bundled_spec(name), binding,
+                                                              params, 40, seed, tol=1e-9)
