@@ -70,10 +70,14 @@ class IdentityFailed(RuntimeError):
         super().__init__(f"{name} failed at {point}: relative residual {residual:.3e}")
 
 
+def _refuse_bool(value, name):
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
 def _require_finite(record):
     for name, value in zip(record.__slots__, record._values()):
-        if isinstance(value, bool):
-            raise TypeError(f"{name} must be a real number, got {value!r}")
+        _refuse_bool(value, name)
         if not math.isfinite(value):
             raise InputError(f"{name} must be finite, got {value}")
 
@@ -88,6 +92,8 @@ class KeplerParams(FrozenRecord):
         _require_finite(self)
         if self.m <= 0:
             raise InputError(f"mass must be positive, got {self.m}")
+        # stored as float, so a report that copies them is JSON-serializable
+        super().__init__(float(m), float(alpha), float(beta))
 
 
 class PhasePoint(FrozenRecord):
@@ -206,6 +212,7 @@ def _gradient(key, cols, x, step):
 
 
 def _check_step(step):
+    _refuse_bool(step, "step")
     if not 0 < step < math.inf:
         raise InputError(f"step must be finite and positive, got {step}")
 
@@ -314,6 +321,7 @@ def _run_identities(identities, params, points, tol, step, n_raising):
     rows raise IdentityFailed at the first failing sample (the first failing
     row there); the others are only reported.
     """
+    _refuse_bool(tol, "tol")
     if not 0 <= tol < math.inf:
         raise InputError(f"tol must be finite and nonnegative, got {tol}")
     _check_step(step)

@@ -22,11 +22,12 @@ commutators, loop quotients -- build their layers directly and skip the
 re-check.
 
 On top of the data type this module provides the structural toolbox used by
-the quotient/contraction pipeline: derived subalgebra and center dimensions,
-the exact Killing form and tr ad (all read from one sparse pass over the
-constants, scaled to integers), a classifier for 3-dimensional real algebras, the
-generalized weighted contraction and its diagonal-rescaling counterpart, and
-extraction of structure constants from a list of matrix generators.
+the quotient/contraction pipeline: derived subalgebra and center dimensions
+and the exact Killing form (all read from one sparse pass over the constants,
+scaled to integers), a classifier for 3-dimensional real algebras by the
+inertia of their integer Bianchi matrix, the generalized weighted contraction
+and its diagonal-rescaling counterpart, and extraction of structure constants
+from a list of matrix generators.
 """
 
 from __future__ import annotations
@@ -301,9 +302,9 @@ def _fraction_layer(layer, den) -> dict:
 
 class _Invariants(FrozenRecord):
     """Invariants of f * C for the lcm f of the denominators of C: the ranks
-    are those of C, the Killing form is f**2 * B and tr ad is f * tr ad."""
+    are those of C and the Killing form is f**2 * B."""
 
-    __slots__ = ("derived_dim", "center_rows", "killing", "trace_ad", "scale")
+    __slots__ = ("derived_dim", "center_rows", "killing", "scale")
 
     @property
     def center_dim(self) -> int:
@@ -333,9 +334,8 @@ def _invariants(alg: LieAlgebra, op: str) -> _Invariants:
         for b in range(a, n):
             killing[a][b] = killing[b][a] = sum(
                 c * ad[b][d, e] for (e, d), c in ad[a].items() if (d, e) in ad[b])
-    trace = [sum(c for (e, d), c in ad[a].items() if e == d) for a in range(n)]
     derived = linalg.matrix_rank(list(brackets.values()))
-    return _Invariants(derived, list(center.values()), killing, trace, f)
+    return _Invariants(derived, list(center.values()), killing, f)
 
 
 def derived_subalgebra_dim(alg: LieAlgebra) -> int:
@@ -354,40 +354,35 @@ def killing_form(alg: LieAlgebra):
     return [[Fraction(x, inv.scale ** 2) for x in row] for row in inv.killing]
 
 
-def classify3(alg: LieAlgebra) -> str:
-    """Classify a 3-dimensional real algebra by exact structural invariants.
+# Inertia (up to an overall sign) of the Bianchi matrix of a unimodular algebra
+_BIANCHI_LABELS = {(3, 0): "so3", (2, 1): "so21", (2, 0): "e2", (1, 1): "e11",
+                   (1, 0): "heisenberg", (0, 0): "abelian3"}
 
-    Decision tree on (derived dimension, center dimension, Killing inertia):
-    abelian3, heisenberg, e2 / e11 (two-dimensional derived algebra, every
-    tr ad X_a zero, rank-1 Killing negative / positive), so3 / so21
-    (definite / indefinite Killing), else "other" -- the non-unimodular
-    Bianchi types (III, IV, V, VI_h, VII_h with h != 0) included.
-    Invariant under any exact change of basis.
+
+def classify3(alg: LieAlgebra) -> str:
+    """Classify a 3-dimensional real algebra by its Bianchi matrix.
+
+    Row m of M is the bracket [X_j, X_k] for the cyclic triple (m, j, k), so
+    [X_i, X_j] = sum_m eps_ijm M[m].  Every tr ad X_a vanishes exactly when
+    M is symmetric; otherwise the algebra is "other" (Bianchi III, IV, V,
+    VI_h and VII_h with h != 0).  A basis change Y = T X sends M to
+    det(T) * T**-T M T**-1, so the inertia of a symmetric M up to an overall
+    sign is a basis invariant, and it names the Bianchi class A type: so3
+    (IX), so21 (VIII), e2 (VII_0), e11 (VI_0), heisenberg (II) and abelian3
+    (I).  M is read from the constants scaled to integers, which keeps its
+    inertia.
     """
     if alg.dim != 3:
         raise WrongDimension(f"classify3 needs dimension 3, got {alg.dim}")
-    inv = _invariants(alg, "classify3")
-    d = inv.derived_dim
-    if d == 0:
-        return "abelian3"
-    sig = signature(inv.killing)
-    if d == 1:
-        if inv.center_dim == 1 and sig == (0, 0, 3):
-            return "heisenberg"
+    _require_eps_free(alg, "classify3")
+    m = [[0] * 3 for _ in range(3)]
+    for (i, j, k), c in _integer_layer(alg._layers.get(0, {}))[1].items():
+        # (i, j) = (0, 1), (1, 2) are cyclic; (0, 2) is [X_2, X_0] with its sign flipped
+        m[3 - i - j][k] = c if j - i == 1 else -c
+    if m[0][1] != m[1][0] or m[0][2] != m[2][0] or m[1][2] != m[2][1]:
         return "other"
-    if d == 2:
-        if any(inv.trace_ad):
-            return "other"
-        if sig == (0, 1, 2):
-            return "e2"
-        if sig == (1, 0, 2):
-            return "e11"
-        return "other"
-    if sig == (0, 3, 0):
-        return "so3"
-    if sig == (2, 1, 0):
-        return "so21"
-    return "other"
+    pos, neg, _ = signature(m)
+    return _BIANCHI_LABELS[max(pos, neg), min(pos, neg)]
 
 
 def is_classic_iw(weights) -> bool:

@@ -1,4 +1,6 @@
+import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -377,6 +379,32 @@ def test_real_fields_refuse_bool():
     # int and float both stay accepted
     assert KeplerParams(2, 1, 0) == KeplerParams(2.0, 1.0, 0.0)
     assert evaluate("H0", KeplerParams(1, 1, 0), PhasePoint(1, 0, 0, 1)) == -0.5
+
+
+def test_tol_and_step_refuse_bool():
+    # tol=True ran every row at tol 1 and reported "tol": true; step=True ran at step 1
+    point = PhasePoint(1.0, 0.3, 0.1, 1.0)
+    calls = {
+        "tol": (lambda: identity_suite(PARAMS, samples=2, tol=True),
+                lambda: cross_check_loop_spec(L1, L1_BINDING, PARAMS, samples=2, tol=True)),
+        "step": (lambda: identity_suite(PARAMS, samples=2, step=True),
+                 lambda: cross_check_loop_spec(L1, L1_BINDING, PARAMS, samples=2, step=True),
+                 lambda: poisson("H", "L", PARAMS, point, step=True),
+                 lambda: poisson_fn("M1", "M2", PARAMS, step=True)),
+    }
+    for name, group in calls.items():
+        for call in group:
+            with pytest.raises(TypeError, match=f"^{name} must be a real number, got True$"):
+                call()
+
+
+def test_params_are_stored_as_float():
+    # a Fraction field reached OracleReport.to_json, which json.dumps refused
+    params = KeplerParams(Fraction(1, 2), 1, 0)
+    assert [type(x) for x in (params.m, params.alpha, params.beta)] == [float] * 3
+    assert params == KeplerParams(0.5, 1.0, 0.0)
+    report = json.loads(json.dumps(identity_suite(params, samples=2).to_json()))
+    assert report["params"] == {"m": 0.5, "alpha": 1.0, "beta": 0.0}
 
 
 def test_binding_must_name_every_spec_generator():

@@ -409,6 +409,59 @@ def test_invariants_of_so31_match_dense_reference():
         assert killing_form(alg) == ref_killing(alg)
 
 
+def bianchi(a=None, extra=None):
+    """ad X2 acting on span(X0, X1) by the 2x2 matrix a: [X2, X_c] = sum_b a[b][c] X_b;
+    extra adds brackets to the table."""
+    table = {(c, 2): {b: -a[b][c] for b in range(2)} for c in range(2)} if a else {}
+    return LieAlgebra(3, {**table, **(extra or {})})
+
+
+# One representative of each Bianchi type, VI_h at h = 2 and -1/3 (as diag(1, h))
+BIANCHI = {
+    "I": bianchi(),
+    "II": bianchi(extra={(0, 1): {2: 1}}),
+    "III": bianchi([[1, 0], [0, 0]]),
+    "IV": bianchi([[1, 1], [0, 1]]),
+    "V": bianchi([[1, 0], [0, 1]]),
+    "VI_0": bianchi([[1, 0], [0, -1]]),
+    "VI_2": bianchi([[1, 0], [0, 2]]),
+    "VI_-1/3": bianchi([[1, 0], [0, Fraction(-1, 3)]]),
+    "VII_0": bianchi([[0, -1], [1, 0]]),
+    "VII_1/2": bianchi([[Fraction(1, 2), -1], [1, Fraction(1, 2)]]),
+    "VIII": bianchi(extra={(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: 1}}),
+    "IX": bianchi(extra={(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}),
+}
+
+
+def fractional_basis(rng):
+    """A random invertible 3x3 basis change with at least one non-integer entry."""
+    while True:
+        t = random_basis(rng, 3)
+        if any(x.denominator > 1 for row in t for x in row):
+            return t
+
+
+def test_classify3_matches_dense_reference_on_every_bianchi_type():
+    labels = {"I": "abelian3", "II": "heisenberg", "VI_0": "e11", "VII_0": "e2",
+              "VIII": "so21", "IX": "so3"}
+    rng = random.Random(1898)
+    for name, alg in BIANCHI.items():
+        assert classify3(alg) == ref_classify3(alg) == labels.get(name, "other")
+        for _ in range(20):
+            changed = alg.change_basis(fractional_basis(rng))
+            assert classify3(changed) == ref_classify3(changed)
+
+
+def test_classify3_matches_dense_reference_on_changed_quotients():
+    count = 0
+    for _, changed, _ in _changed_quotients():
+        for eps in (1, Fraction(1, 3), 0, -1, Fraction(-3, 2)):
+            alg = changed.evaluate_at(eps)
+            assert classify3(alg) == ref_classify3(alg)
+            count += 1
+    assert count > 100
+
+
 @pytest.mark.parametrize("reader", [derived_subalgebra_dim, center_dim, killing_form, classify3])
 def test_invariant_readers_name_themselves_on_symbolic_input(reader):
     family = factor_algebra(bundled_spec("h2"))

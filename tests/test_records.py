@@ -27,7 +27,7 @@ IDENTITY = IdentityResult("{H,L}=0", 5, 1.5e-9, True)
 # (record, its repr, the tuple of its field values)
 CASES = [
     (KeplerParams(), "KeplerParams(m=1.0, alpha=1.0, beta=0.5)", (1.0, 1.0, 0.5)),
-    (KeplerParams(2, beta=0), "KeplerParams(m=2, alpha=1.0, beta=0)", (2, 1.0, 0)),
+    (KeplerParams(2, beta=0), "KeplerParams(m=2.0, alpha=1.0, beta=0.0)", (2.0, 1.0, 0.0)),
     (PhasePoint(1.5, 0.25, -0.5, 0.75), "PhasePoint(r=1.5, phi=0.25, pr=-0.5, pphi=0.75)",
      (1.5, 0.25, -0.5, 0.75)),
     (LoopElement(((0, 1, Fraction(1, 2)),)), "LoopElement(terms=((0, 1, Fraction(1, 2)),))",
