@@ -72,9 +72,10 @@ def _load_algebra(path) -> LieAlgebra:
     return LieAlgebra.from_json(data)
 
 
-def _parse_fractions(text, what):
+def _parse_list(text, what, kind):
+    """The comma-separated values of an option, each read by kind (int or Fraction)."""
     try:
-        return [Fraction(part.strip()) for part in text.split(",")]
+        return [kind(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse {what} {text!r}: {exc}") from exc
 
@@ -83,17 +84,10 @@ def _at_eps(alg: LieAlgebra, text) -> LieAlgebra:
     """alg with the --eps value substituted, or alg itself without --eps."""
     if text is None:
         return alg
-    values = _parse_fractions(text, "eps")
+    values = _parse_list(text, "eps", Fraction)
     if len(values) != 1:
         raise InputError(f"--eps takes one rational, got {text!r}")
     return alg.evaluate_at(values[0])
-
-
-def _parse_ints(text, what):
-    try:
-        return [int(part.strip()) for part in text.split(",")]
-    except ValueError as exc:
-        raise InputError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
 def _strict(data):
@@ -157,7 +151,7 @@ def _cmd_classify(args):
 
 def _cmd_contract(args):
     alg = _load_algebra(args.file)
-    weights = _parse_fractions(args.weights, "weights")
+    weights = _parse_list(args.weights, "weights", Fraction)
     out = contract(alg, weights)
     human = _algebra_lines(out) + f"\nclassic Inonu-Wigner weights: {is_classic_iw(weights)}"
     _emit(args, {"algebra": out.to_json(), "classic_iw": is_classic_iw(weights)}, human)
@@ -166,7 +160,7 @@ def _cmd_contract(args):
 
 def _cmd_quotient(args):
     spec = _load_spec(args.file)
-    levels = None if args.levels is None else _parse_ints(args.levels, "levels")
+    levels = None if args.levels is None else _parse_list(args.levels, "levels", int)
     alg = _at_eps(factor_algebra(spec, levels), args.eps)
     _emit(args, {"algebra": alg.to_json()}, _algebra_lines(alg))
     return OK
@@ -174,7 +168,7 @@ def _cmd_quotient(args):
 
 def _cmd_selection_check(args):
     spec = _load_spec(args.file)
-    levels = _parse_ints(args.levels, "levels")
+    levels = _parse_list(args.levels, "levels", int)
     check_selection(spec, levels)
     _emit(args, {"ok": True, "levels": levels}, f"OK: levels {levels} select a closed subalgebra")
     return OK

@@ -23,8 +23,7 @@ re-check.
 
 On top of the data type this module provides the structural toolbox used by
 the quotient/contraction pipeline: derived subalgebra and center dimensions
-and the exact Killing form (all read from one sparse pass over the constants,
-scaled to integers), a classifier for 3-dimensional real algebras by the
+and the exact Killing form, a classifier for 3-dimensional real algebras by the
 inertia of their integer Bianchi matrix, the generalized weighted contraction
 and its diagonal-rescaling counterpart, and extraction of structure constants
 from a list of matrix generators.
@@ -36,7 +35,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .scalars import (FrozenRecord, InputError, PuiseuxScalar, Rejected, add_term, as_fraction,
+from .scalars import (InputError, PuiseuxScalar, Rejected, add_term, as_fraction,
                       as_int, eps_power, scale_to_integers, signature)
 
 CLASS_LABELS = ("so3", "so21", "e2", "e11", "heisenberg", "abelian3", "other")
@@ -88,20 +87,57 @@ class AlgebraFormatError(InputError):
     """Malformed algebra description (file or dict)."""
 
 
-def _shape(dim, names) -> tuple[int, tuple[str, ...]]:
-    """Checked dimension and generator names (X0, X1, ... by default)."""
+def _shape(dim, names, error=AlgebraFormatError) -> tuple[int, tuple[str, ...]]:
+    """Checked dimension and generator names (X0, X1, ... by default); a bad
+    one raises ``error``, the format error of the description read."""
     dim = as_int(dim, "dim")
     if dim < 0:
-        raise AlgebraFormatError("dimension must be nonnegative")
+        raise error("dimension must be nonnegative")
     names = [f"X{i}" for i in range(dim)] if names is None else list(names)
     if len(names) != dim:
-        raise AlgebraFormatError("names length does not match dimension")
-    bad = next((n for n in names if not isinstance(n, str)), None)
-    if bad is not None:
-        raise AlgebraFormatError(f"generator names must be strings, got {bad!r}")
+        raise error("names length does not match dimension")
+    for name in names:
+        if not isinstance(name, str):
+            raise error(f"generator names must be strings, got {name!r}")
     if len(set(names)) != dim:
-        raise AlgebraFormatError("generator names must be distinct")
+        raise error("generator names must be distinct")
     return dim, tuple(names)
+
+
+def _bracket_terms(brackets, n, error):
+    """(i, j, k, rest) for each term (k, *rest) of a bracket table {(i, j): terms};
+    a mapping {k: coeff} gives the terms (k, coeff).  The indices are exact ints
+    with 0 <= i < j < n and 0 <= k < n."""
+    for (i, j), terms in brackets.items():
+        i, j = as_int(i, "i"), as_int(j, "j")
+        if not 0 <= i < j < n:
+            raise error(f"bracket key ({i},{j}) must satisfy 0 <= i < j < {n}")
+        for k, *rest in terms.items() if hasattr(terms, "items") else terms:
+            k = as_int(k, "k")
+            if not 0 <= k < n:
+                raise error(f"bracket target {k} out of range")
+            yield i, j, k, rest
+
+
+def _from_json(data, exponent, error, what, build):
+    """build(table) for a JSON description, its ``brackets`` list read as
+    {(i, j): [(k, c, e), ...]} with e the ``exponent`` entry (0 when absent).
+    A KeyError, TypeError, ValueError or ArithmeticError becomes ``error``."""
+    try:
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        table: dict[tuple[int, int], list] = {}
+        for entry in data.get("brackets", []):
+            i, j = as_int(entry["i"], "i"), as_int(entry["j"], "j")
+            if i >= j:
+                raise error(f"bracket entry requires i < j, got ({i},{j})")
+            table.setdefault((i, j), []).extend(
+                (t["k"], t["c"], t.get(exponent, 0)) for t in entry["terms"])
+        return build(table)
+    except (InputError, Rejected):
+        raise
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise error(f"malformed {what}: {exc}") from exc
 
 
 class LieAlgebra:
@@ -111,17 +147,10 @@ class LieAlgebra:
     def __init__(self, dim, brackets, names=None):
         self._dim, self._names = _shape(dim, names)
         layers: dict = {}
-        for (i, j), terms in brackets.items():
-            i, j = as_int(i, "i"), as_int(j, "j")
-            if not (0 <= i < j < self._dim):
-                raise AlgebraFormatError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-            for k, coeff in terms.items() if hasattr(terms, "items") else terms:
-                k = as_int(k, "k")
-                if not 0 <= k < self._dim:
-                    raise AlgebraFormatError(f"bracket target {k} out of range")
-                qc = coeff.terms if isinstance(coeff, PuiseuxScalar) else [(0, as_fraction(coeff))]
-                for q, c in qc:
-                    add_term(layers.setdefault(q, {}), (i, j, k), c)
+        for i, j, k, (coeff,) in _bracket_terms(brackets, self._dim, AlgebraFormatError):
+            qc = coeff.terms if isinstance(coeff, PuiseuxScalar) else [(0, as_fraction(coeff))]
+            for q, c in qc:
+                add_term(layers.setdefault(q, {}), (i, j, k), c)
         self._layers = {q: layer for q, layer in layers.items() if layer}
         self.validate()
 
@@ -255,22 +284,13 @@ class LieAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "LieAlgebra":
-        try:
-            table: dict[tuple[int, int], list] = {}
-            for entry in data.get("brackets", []):
-                i, j = as_int(entry["i"], "i"), as_int(entry["j"], "j")
-                if i >= j:
-                    raise AlgebraFormatError(f"bracket entry requires i < j, got ({i},{j})")
-                table.setdefault((i, j), []).extend(
-                    (t["k"], PuiseuxScalar.monomial(t["c"], t.get("q", 0))) for t in entry["terms"])
+        def build(table):
             names = data.get("names")
             if names is not None and not isinstance(names, list):
                 raise AlgebraFormatError(f"names must be a list, got {names!r}")
-            return cls(data["dim"], table, names=names)
-        except (InputError, Rejected):
-            raise
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-            raise AlgebraFormatError(f"malformed algebra description: {exc}") from exc
+            return cls(data["dim"], {ij: [(k, PuiseuxScalar.monomial(c, q)) for k, c, q in terms]
+                                     for ij, terms in table.items()}, names=names)
+        return _from_json(data, "q", AlgebraFormatError, "algebra description", build)
 
     def __repr__(self):
         nz = len({key for layer in self._layers.values() for key in layer})
@@ -300,58 +320,44 @@ def _fraction_layer(layer, den) -> dict:
     return {key: Fraction(c, den) for key, c in layer.items()}
 
 
-class _Invariants(FrozenRecord):
-    """Invariants of f * C for the lcm f of the denominators of C: the ranks
-    are those of C and the Killing form is f**2 * B."""
-
-    __slots__ = ("derived_dim", "center_rows", "killing", "scale")
-
-    @property
-    def center_dim(self) -> int:
-        return len(self.killing) - linalg.matrix_rank(self.center_rows)
-
-
-def _invariants(alg: LieAlgebra, op: str) -> _Invariants:
-    """One sparse pass over the constants of an eps-free algebra, in integers.
-
-    ad[a] = {(e, d): f * C_ad^e} holds the nonzero entries of ad X_a.  The
-    ranks read only the nonzero rows; the centre is ranked only when it is read.
-    """
-    _require_eps_free(alg, op)
-    n = alg.dim
-    f, layer = _integer_layer(alg._layers.get(0, {}))
-    ad: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-    brackets: dict[tuple[int, int], list] = {}
-    center: dict[tuple[int, int], list] = {}
-    for (i, j, k), c in layer.items():
-        ad[i][k, j] = c
-        ad[j][k, i] = -c
-        brackets.setdefault((i, j), [0] * n)[k] = c
-        center.setdefault((j, k), [0] * n)[i] = c
-        center.setdefault((i, k), [0] * n)[j] = -c
-    killing = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            killing[a][b] = killing[b][a] = sum(
-                c * ad[b][d, e] for (e, d), c in ad[a].items() if (d, e) in ad[b])
-    derived = linalg.matrix_rank(list(brackets.values()))
-    return _Invariants(derived, list(center.values()), killing, f)
-
-
 def derived_subalgebra_dim(alg: LieAlgebra) -> int:
     """Dimension of the span of all brackets [X_i, X_j] (exact rank)."""
-    return _invariants(alg, "derived_subalgebra_dim").derived_dim
+    _require_eps_free(alg, "derived_subalgebra_dim")
+    rows: dict[tuple[int, int], list] = {}
+    for (i, j, k), c in _integer_layer(alg._layers.get(0, {}))[1].items():
+        rows.setdefault((i, j), [0] * alg.dim)[k] = c
+    return linalg.matrix_rank(list(rows.values()))
 
 
 def center_dim(alg: LieAlgebra) -> int:
     """Dimension of {x : [x, y] = 0 for all y} (exact nullity)."""
-    return _invariants(alg, "center_dim").center_dim
+    _require_eps_free(alg, "center_dim")
+    # row (b, k) holds C_ab^k over a; only the nonzero rows are built
+    rows: dict[tuple[int, int], list] = {}
+    for (i, j, k), c in _integer_layer(alg._layers.get(0, {}))[1].items():
+        rows.setdefault((j, k), [0] * alg.dim)[i] = c
+        rows.setdefault((i, k), [0] * alg.dim)[j] = -c
+    return alg.dim - linalg.matrix_rank(list(rows.values()))
 
 
 def killing_form(alg: LieAlgebra):
-    """B(X_a, X_b) = trace(ad_a . ad_b) as an exact rational matrix."""
-    inv = _invariants(alg, "killing_form")
-    return [[Fraction(x, inv.scale ** 2) for x in row] for row in inv.killing]
+    """B(X_a, X_b) = trace(ad_a . ad_b) as an exact rational matrix.
+
+    ad[a] = {(e, d): f * C_ad^e} holds the nonzero entries of ad X_a for the
+    lcm f of the denominators, so each entry is an int sum divided by f**2."""
+    _require_eps_free(alg, "killing_form")
+    n = alg.dim
+    f, layer = _integer_layer(alg._layers.get(0, {}))
+    ad: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for (i, j, k), c in layer.items():
+        ad[i][k, j] = c
+        ad[j][k, i] = -c
+    killing = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            killing[a][b] = killing[b][a] = Fraction(
+                sum(c * ad[b][d, e] for (e, d), c in ad[a].items() if (d, e) in ad[b]), f * f)
+    return killing
 
 
 # Inertia (up to an overall sign) of the Bianchi matrix of a unimodular algebra

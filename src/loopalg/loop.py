@@ -29,7 +29,7 @@ import json
 import os
 from fractions import Fraction
 
-from .liealg import JacobiViolation, LieAlgebra
+from .liealg import JacobiViolation, LieAlgebra, _bracket_terms, _from_json, _shape
 from .scalars import FrozenRecord, InputError, Rejected, add_term, as_fraction, as_int
 
 DEFAULT_MAX_LEVEL = 8
@@ -101,46 +101,29 @@ class LoopSpec:
         self._s = as_int(s, "s")
         if self._s < 1:
             raise SpecFormatError("grade of h must be a positive integer")
-        names, grades = [], []
-        for name, grade in generators:
-            if not isinstance(name, str):
-                raise SpecFormatError(f"generator names must be strings, got {name!r}")
-            grade = as_int(grade, "grade")
+        generators = list(generators)
+        n, self._names = _shape(len(generators), [name for name, _ in generators], SpecFormatError)
+        self._grades = tuple(as_int(grade, "grade") for _, grade in generators)
+        for name, grade in zip(self._names, self._grades):
             if grade < 0:
                 raise SpecFormatError(f"generator {name} has negative grade")
-            names.append(name)
-            grades.append(grade)
-        if len(set(names)) != len(names):
-            raise SpecFormatError("generator names must be distinct")
-        self._names = tuple(names)
-        self._grades = tuple(grades)
-        n = len(names)
-        table: dict[tuple[int, int], tuple[tuple[int, Fraction, int], ...]] = {}
-        for (i, j), terms in brackets.items():
-            if not (0 <= i < j < n):
-                raise SpecFormatError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < n")
-            seen = set()
-            cooked = []
-            for k, coeff, hpow in terms:
-                k, hpow = as_int(k, "k"), as_int(hpow, "hpow")
-                coeff = as_fraction(coeff)
-                if not 0 <= k < n:
-                    raise SpecFormatError(f"bracket target {k} out of range")
-                if hpow < 0:
-                    raise SpecFormatError("h-powers must be nonnegative")
-                if k in seen:
-                    raise SpecFormatError(f"duplicate target {k} in bracket ({i},{j})")
-                seen.add(k)
-                if coeff == 0:
-                    continue
-                if self._grades[i] + self._grades[j] != self._grades[k] + self._s * hpow:
-                    raise SpecFormatError(
-                        f"grade law violated on ({i},{j})->{k}: "
-                        f"{self._grades[i]}+{self._grades[j]} != {self._grades[k]}+{self._s}*{hpow}"
-                    )
-                cooked.append((k, coeff, hpow))
-            if cooked:
-                table[(i, j)] = tuple(cooked)
+        table: dict[tuple[int, int], list[tuple[int, Fraction, int]]] = {}
+        seen = set()
+        for i, j, k, (coeff, hpow) in _bracket_terms(brackets, n, SpecFormatError):
+            hpow, coeff = as_int(hpow, "hpow"), as_fraction(coeff)
+            if hpow < 0:
+                raise SpecFormatError("h-powers must be nonnegative")
+            if (i, j, k) in seen:
+                raise SpecFormatError(f"duplicate target {k} in bracket ({i},{j})")
+            seen.add((i, j, k))
+            if coeff == 0:
+                continue
+            if self._grades[i] + self._grades[j] != self._grades[k] + self._s * hpow:
+                raise SpecFormatError(
+                    f"grade law violated on ({i},{j})->{k}: "
+                    f"{self._grades[i]}+{self._grades[j]} != {self._grades[k]}+{self._s}*{hpow}"
+                )
+            table.setdefault((i, j), []).append((k, coeff, hpow))
         self._brackets = table
         self._selection = None if selection is None else TowerSelection(selection)
         if self._selection is not None and len(self._selection) != n:
@@ -246,21 +229,9 @@ class LoopSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "LoopSpec":
-        try:
-            s = data["s"]
-            generators = [(g["name"], g["grade"]) for g in data["generators"]]
-            table = {}
-            for entry in data.get("brackets", []):
-                i, j = as_int(entry["i"], "i"), as_int(entry["j"], "j")
-                if i >= j:
-                    raise SpecFormatError(f"bracket entry requires i < j, got ({i},{j})")
-                table.setdefault((i, j), []).extend(
-                    (t["k"], t["c"], t.get("hpow", 0)) for t in entry["terms"])
-            return cls(s, generators, table, selection=data.get("selection"))
-        except (InputError, Rejected):
-            raise
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-            raise SpecFormatError(f"malformed loop spec: {exc}") from exc
+        return _from_json(data, "hpow", SpecFormatError, "loop spec", lambda table: cls(
+            data["s"], [(g["name"], g["grade"]) for g in data["generators"]], table,
+            selection=data.get("selection")))
 
     def __repr__(self):
         gens = ", ".join(f"{n}:{g}" for n, g in zip(self._names, self._grades))

@@ -279,6 +279,7 @@ MALFORMED_FILES = {
     "names_string": {"dim": 3, "names": "XYZ"},
     # a generator name is a JSON string, distinct from the others
     "names_not_strings": {"dim": 2, "names": [1, None]},
+    "names_null": {"dim": 2, "names": [None, "B"]},
     "names_list_entry": {"dim": 2, "names": ["A", ["B"]]},
     "names_duplicate": {"dim": 3, "names": ["A", "A", "B"]},
     "spec_name_null": {**_SPEC, "generators": [{"name": None, "grade": 0},

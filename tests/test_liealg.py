@@ -412,6 +412,8 @@ def test_json_round_trip_and_format_errors():
         LieAlgebra.from_json({"dim": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"k": 0, "c": "x", "q": "0"}]}]})
     with pytest.raises(AlgebraFormatError):
         LieAlgebra.from_json({"brackets": []})
+    with pytest.raises(AlgebraFormatError, match="expected a JSON object, got list"):
+        LieAlgebra.from_json([])
 
 
 def test_evaluate_at_on_symbolic_family():

@@ -224,6 +224,17 @@ def test_jacobi_at_random_levels(h2, l1, l2):
             assert all(v == 0 for v in total.values())
 
 
+@pytest.mark.parametrize("brackets", [
+    {(False, True): [(2, 1, 0)]}, {(0.0, 1): [(2, 1, 0)]}, {(0, 1.0): [(2, 1, 0)]},
+    {(0, 1): [(2.0, 1, 0)]}, {(0, 1): [(True, 1, 0)]},
+])
+def test_bracket_indices_must_be_integers(brackets):
+    # as in LieAlgebra: a bool key would be written by to_json as "i": false,
+    # which from_json refuses, and a float key is not a generator index
+    with pytest.raises(TypeError, match="must be an integer"):
+        LoopSpec(1, [("A", 0), ("B", 0), ("C", 0)], brackets)
+
+
 # -- selections --------------------------------------------------------------------
 
 def test_check_selection_examples(h2):
@@ -447,6 +458,8 @@ def test_malformed_spec_errors():
         LoopSpec.from_json(bad)
     with pytest.raises(SpecFormatError):
         bundled_spec("h3")
+    with pytest.raises(SpecFormatError, match="expected a JSON object, got list"):
+        LoopSpec.from_json([])
 
 
 # -- the quotient pipeline works on rational layers ---------------------------------
