@@ -93,7 +93,10 @@ def _shape(dim, names, error=AlgebraFormatError) -> tuple[int, tuple[str, ...]]:
     dim = as_int(dim, "dim")
     if dim < 0:
         raise error("dimension must be nonnegative")
-    names = [f"X{i}" for i in range(dim)] if names is None else list(names)
+    if names is None:
+        names = [f"X{i}" for i in range(dim)]
+    elif not isinstance(names, (list, tuple)):
+        raise error(f"names must be a list, got {names!r}")
     if len(names) != dim:
         raise error("names length does not match dimension")
     for name in names:
@@ -138,6 +141,14 @@ def _from_json(data, exponent, error, what, build):
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise error(f"malformed {what}: {exc}") from exc
+
+
+def _to_json(table, exponent):
+    """The JSON ``brackets`` list of a table {(i, j): [(k, c, e), ...]}, the
+    inverse of :func:`_from_json`: pairs sorted, terms in the table's order,
+    c written as a string and e as the ``exponent`` entry."""
+    return [{"i": i, "j": j, "terms": [{"k": k, "c": str(c), exponent: e} for k, c, e in terms]}
+            for (i, j), terms in sorted(table.items())]
 
 
 class LieAlgebra:
@@ -217,8 +228,7 @@ class LieAlgebra:
 
     def constants_fraction(self) -> dict[tuple[int, int, int], Fraction]:
         """Structure constants as plain rationals; requires an eps-free algebra."""
-        _require_eps_free(self, "constants_fraction")
-        return dict(self._layers.get(0, {}))
+        return dict(_eps_free(self, "constants_fraction"))
 
     def same_constants(self, other: "LieAlgebra") -> bool:
         return self._dim == other._dim and self._layers == other._layers
@@ -275,31 +285,26 @@ class LieAlgebra:
         return LieAlgebra._from_layers(self._dim, layers, self._names)
 
     def to_json(self) -> dict:
-        brackets = [
-            {"i": i, "j": j,
-             "terms": [{"k": k, "c": str(c), "q": str(q)} for k, qc in row.items() for q, c in qc]}
-            for (i, j), row in self._rows().items()
-        ]
-        return {"dim": self._dim, "names": list(self._names), "brackets": brackets}
+        table = {ij: [(k, c, str(q)) for k, qc in row.items() for q, c in qc]
+                 for ij, row in self._rows().items()}
+        return {"dim": self._dim, "names": list(self._names), "brackets": _to_json(table, "q")}
 
     @classmethod
     def from_json(cls, data: dict) -> "LieAlgebra":
-        def build(table):
-            names = data.get("names")
-            if names is not None and not isinstance(names, list):
-                raise AlgebraFormatError(f"names must be a list, got {names!r}")
-            return cls(data["dim"], {ij: [(k, PuiseuxScalar.monomial(c, q)) for k, c, q in terms]
-                                     for ij, terms in table.items()}, names=names)
-        return _from_json(data, "q", AlgebraFormatError, "algebra description", build)
+        return _from_json(data, "q", AlgebraFormatError, "algebra description", lambda table: cls(
+            data["dim"], {ij: [(k, PuiseuxScalar.monomial(c, q)) for k, c, q in terms]
+                          for ij, terms in table.items()}, names=data.get("names")))
 
     def __repr__(self):
         nz = len({key for layer in self._layers.values() for key in layer})
         return f"LieAlgebra(dim={self._dim}, names={list(self._names)}, nonzero_terms={nz})"
 
 
-def _require_eps_free(alg: LieAlgebra, op: str):
+def _eps_free(alg: LieAlgebra, op: str) -> dict:
+    """The q = 0 layer {(i, j, k): c} of an eps-free algebra; SymbolicAlgebra otherwise."""
     if alg.is_symbolic:
         raise SymbolicAlgebra(f"{op} requires eps-free structure constants")
+    return alg._layers.get(0, {})
 
 
 def _check_weights(alg: LieAlgebra, weights) -> tuple[Fraction, ...]:
@@ -322,19 +327,17 @@ def _fraction_layer(layer, den) -> dict:
 
 def derived_subalgebra_dim(alg: LieAlgebra) -> int:
     """Dimension of the span of all brackets [X_i, X_j] (exact rank)."""
-    _require_eps_free(alg, "derived_subalgebra_dim")
     rows: dict[tuple[int, int], list] = {}
-    for (i, j, k), c in _integer_layer(alg._layers.get(0, {}))[1].items():
+    for (i, j, k), c in _integer_layer(_eps_free(alg, "derived_subalgebra_dim"))[1].items():
         rows.setdefault((i, j), [0] * alg.dim)[k] = c
     return linalg.matrix_rank(list(rows.values()))
 
 
 def center_dim(alg: LieAlgebra) -> int:
     """Dimension of {x : [x, y] = 0 for all y} (exact nullity)."""
-    _require_eps_free(alg, "center_dim")
     # row (b, k) holds C_ab^k over a; only the nonzero rows are built
     rows: dict[tuple[int, int], list] = {}
-    for (i, j, k), c in _integer_layer(alg._layers.get(0, {}))[1].items():
+    for (i, j, k), c in _integer_layer(_eps_free(alg, "center_dim"))[1].items():
         rows.setdefault((j, k), [0] * alg.dim)[i] = c
         rows.setdefault((i, k), [0] * alg.dim)[j] = -c
     return alg.dim - linalg.matrix_rank(list(rows.values()))
@@ -345,9 +348,8 @@ def killing_form(alg: LieAlgebra):
 
     ad[a] = {(e, d): f * C_ad^e} holds the nonzero entries of ad X_a for the
     lcm f of the denominators, so each entry is an int sum divided by f**2."""
-    _require_eps_free(alg, "killing_form")
     n = alg.dim
-    f, layer = _integer_layer(alg._layers.get(0, {}))
+    f, layer = _integer_layer(_eps_free(alg, "killing_form"))
     ad: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
     for (i, j, k), c in layer.items():
         ad[i][k, j] = c
@@ -380,9 +382,8 @@ def classify3(alg: LieAlgebra) -> str:
     """
     if alg.dim != 3:
         raise WrongDimension(f"classify3 needs dimension 3, got {alg.dim}")
-    _require_eps_free(alg, "classify3")
     m = [[0] * 3 for _ in range(3)]
-    for (i, j, k), c in _integer_layer(alg._layers.get(0, {}))[1].items():
+    for (i, j, k), c in _integer_layer(_eps_free(alg, "classify3"))[1].items():
         # (i, j) = (0, 1), (1, 2) are cyclic; (0, 2) is [X_2, X_0] with its sign flipped
         m[3 - i - j][k] = c if j - i == 1 else -c
     if m[0][1] != m[1][0] or m[0][2] != m[2][0] or m[1][2] != m[2][1]:
@@ -406,11 +407,11 @@ def contract(alg: LieAlgebra, weights) -> LieAlgebra:
     Requires n_i + n_j >= n_k on every nonzero constant; the contracted
     constants keep C_ij^k where n_i + n_j = n_k and drop the rest.
     """
-    _require_eps_free(alg, "contract")
+    layer = _eps_free(alg, "contract")
     w = _check_weights(alg, weights)
     violations = []
     kept = {}
-    for (i, j, k), c in alg._layers.get(0, {}).items():
+    for (i, j, k), c in layer.items():
         e = w[i] + w[j] - w[k]
         if e < 0:
             violations.append((i, j, k, w[i], w[j], w[k]))

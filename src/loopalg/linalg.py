@@ -3,7 +3,7 @@
 Entries are ints or Fractions.  Every kernel scales the matrix to integers
 (``scalars.scale_to_integers``), eliminates in int arithmetic and builds a
 Fraction only for an entry it returns (fraction-free elimination): the rank
-builds none, and the inverse divides its block by one common denominator.
+builds none, and the inverse returns int entries over one denominator.
 """
 
 from __future__ import annotations
@@ -69,15 +69,6 @@ def _integer_inverse(rows):
         return None
     den = lcm(*[m[r][r] for r in range(n)])
     return [[x * (den // row[r]) for x in row[n:]] for r, row in enumerate(m)], den
-
-
-def invert_matrix(rows):
-    """Exact inverse of a square rational matrix, or None if singular."""
-    inv = _integer_inverse(rows)
-    if inv is None:
-        return None
-    m, den = inv
-    return [[Fraction(x, den) for x in row] for row in m]
 
 
 def mat_mul(a, b):

@@ -29,7 +29,7 @@ import json
 import os
 from fractions import Fraction
 
-from .liealg import JacobiViolation, LieAlgebra, _bracket_terms, _from_json, _shape
+from .liealg import JacobiViolation, LieAlgebra, _bracket_terms, _from_json, _shape, _to_json
 from .scalars import FrozenRecord, InputError, Rejected, add_term, as_fraction, as_int
 
 DEFAULT_MAX_LEVEL = 8
@@ -212,16 +212,7 @@ class LoopSpec:
             "generators": [
                 {"name": n, "grade": g} for n, g in zip(self._names, self._grades)
             ],
-            "brackets": [
-                {
-                    "i": i,
-                    "j": j,
-                    "terms": [
-                        {"k": k, "c": str(c), "hpow": p} for k, c, p in self._brackets[(i, j)]
-                    ],
-                }
-                for (i, j) in sorted(self._brackets)
-            ],
+            "brackets": _to_json(self._brackets, "hpow"),
         }
         if self._selection is not None:
             out["selection"] = list(self._selection)
@@ -348,6 +339,7 @@ def embedding_check(sub: LoopSpec, host: LoopSpec, gen_map, window=DEFAULT_MAX_L
     if sub.s != host.s:
         raise GradeMismatch(f"h grades differ: {sub.s} != {host.s}")
     gen_map = [(as_int(t, "host index"), as_int(o, "level offset")) for t, o in gen_map]
+    window = as_int(window, "window")
     if len(gen_map) != sub.n_generators:
         raise GradeMismatch("generator map must cover every sub generator")
     for i, (tgt, off) in enumerate(gen_map):
@@ -374,13 +366,8 @@ def embedding_check(sub: LoopSpec, host: LoopSpec, gen_map, window=DEFAULT_MAX_L
                     "(0,0) does not map onto the host bracket"
                 )
 
-    covered: dict[int, set[int]] = {g: set() for g in range(host.n_generators)}
-    for tgt, off in gen_map:
-        covered[tgt].update(range(off, window + 1))
-    missing = tuple(
-        (host.names[g], lvl)
-        for g in range(host.n_generators)
-        for lvl in range(window + 1)
-        if lvl not in covered[g]
-    )
+    # one sub generator per host tower, so tower g holds just the levels >= its offset
+    offsets = dict(gen_map)
+    missing = tuple((host.names[g], lvl) for g in range(host.n_generators)
+                    for lvl in range(min(offsets.get(g, window + 1), window + 1)))
     return EmbeddingReport(window=window, missing=missing)

@@ -191,12 +191,12 @@ def test_classify3_basis_change_invariance_smoke():
 
 
 def random_rational_basis(rng):
-    from loopalg.linalg import invert_matrix
+    from loopalg.linalg import matrix_rank
 
     while True:
         t = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(3)]
              for _ in range(3)]
-        if invert_matrix(t) is not None:
+        if matrix_rank(t) == 3:
             return t
 
 
@@ -393,6 +393,16 @@ def test_bracket_indices_must_be_integers(brackets):
     # a float (2.0 included) or a bool index is refused, as a float dim is
     with pytest.raises(TypeError, match="must be an integer"):
         LieAlgebra(3, brackets)
+
+
+def test_names_must_be_a_list_or_tuple():
+    # read with list(), a string would load as its characters and a set in any order
+    for names in ("XYZ", {"X", "Y", "Z"}, 5):
+        with pytest.raises(AlgebraFormatError, match="names must be a list"):
+            LieAlgebra(3, {}, names=names)
+    with pytest.raises(AlgebraFormatError, match="names must be a list"):
+        algebra_from_matrices([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], names="AB")
+    assert LieAlgebra(3, {}, names=("X", "Y", "Z")).names == ("X", "Y", "Z")
 
 
 def test_json_round_trip_and_format_errors():

@@ -24,7 +24,7 @@ from loopalg import (
     rescale_basis,
     selection_ok,
 )
-from loopalg.loop import BracketMismatch, GradeMismatch, NotClosed, SpecJacobiViolation
+from loopalg.loop import BracketMismatch, GradeMismatch, NotClosed, SpecJacobiViolation, bundled_path
 
 P = PuiseuxScalar
 
@@ -432,14 +432,35 @@ def test_embedding_reports_per_window(h2, l1, l2):
             assert report.window == window
             assert set(report.missing) == missing
             assert report.codimension == len(missing)
+    # a map that covers every tower reads no level, but the window is still checked
+    for window in (2.0, True):
+        with pytest.raises(TypeError, match="window must be an integer"):
+            embedding_check(h2, h2, [(0, 0), (1, 0), (2, 0)], window=window)
 
 
 # -- serialization ------------------------------------------------------------------
 
-def test_spec_json_round_trip(l1):
-    again = LoopSpec.from_json(json.loads(json.dumps(l1.to_json())))
-    assert again.names == l1.names
-    assert again.base_brackets() == l1.base_brackets()
+def _shipped(name):
+    with open(bundled_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("data", [
+    _shipped("l1"),
+    # a selection, and one two-term bracket whose terms come in descending k
+    {"s": 1,
+     "generators": [{"name": "A", "grade": 0}, {"name": "B", "grade": 1}, {"name": "C", "grade": 1}],
+     "brackets": [{"i": 0, "j": 1, "terms": [{"k": 2, "c": "1", "hpow": 0},
+                                             {"k": 1, "c": "-1/2", "hpow": 0}]}],
+     "selection": [0, 1, 1]},
+], ids=["l1", "selection_descending_k"])
+def test_spec_json_round_trip(data):
+    spec = LoopSpec.from_json(data)
+    assert spec.to_json() == data
+    again = LoopSpec.from_json(json.loads(json.dumps(spec.to_json())))
+    assert again.names == spec.names
+    assert again.base_brackets() == spec.base_brackets()
+    assert again.to_json() == spec.to_json()
 
 
 def test_malformed_spec_errors():
