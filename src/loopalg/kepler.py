@@ -36,11 +36,11 @@ one relation form and one sample loop.  At each sample point one
 trig-sharing stencil evaluates every named observable at the centre and at
 the 8 stencil points: phi enters only through cos phi, sin phi, cos phi/2
 and sin phi/2, which are taken once for the 7 points that keep phi, and r
-through sqrt(r), taken once for the 7 points that keep r.  The stencil also
-carries the identity suite's two helper quantities (h0*L and the m*beta
-radial variant of M1) in private trailing slots, so one stencil gives every
-gradient and value the suite needs; a user-supplied closure operand keeps
-its own stencil.
+through sqrt(r), taken once for the 7 points that keep r.  The identity
+suite's two helper quantities (h0*L and the m*beta radial variant of M1)
+ride in private trailing slots, and each user-supplied closure operand in a
+slot after them, so one stencil gives every gradient and value.  The stencil
+refuses a point within one step of r = 0 or of the cut at phi = +-pi.
 """
 
 from __future__ import annotations
@@ -125,16 +125,18 @@ def _bind(params: KeplerParams):
 
     values(r, phi, pr, pphi) is the tuple of all observables at a point, in
     OBSERVABLE_NAMES order followed by the two private slots.  stencil(x,
-    step) is (values at x, [(values(x + d e_i), values(x - d e_i), 2 d) for
-    each coordinate i]), d = step * max(1, |x_i|), with the trigonometric
-    values and sqrt(r) shared by the points that keep phi or r.
+    step, closures) is (values at x, [(values(x + d e_i), values(x - d e_i),
+    2 d) for each coordinate i]), d = step * max(1, |x_i|), each tuple followed
+    by the closures' values; the points that keep phi or r share its trig
+    values or sqrt(r).  A point within d of r = 0 or of the cut raises
+    BoundaryTooClose before anything is evaluated.
     """
     m, alpha, beta = params.m, params.alpha, params.beta
     two_m, minus_two_m, m_alpha, m_beta = 2 * m, -2 * m, m * alpha, m * beta
     n1_shift = m_beta ** 2 / 2
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
 
-    def at(r, pr, pphi, c, s, c2, s2, u):
+    def at(r, phi, pr, pphi, c, s, c2, s2, u):
         # c, s, c2, s2 = cos phi, sin phi, cos phi/2, sin phi/2 and u = sqrt(r)
         H0 = (pr * pr + (pphi * pphi) / (r * r)) / two_m - alpha / r
         H = H0 - beta * c2 / u
@@ -149,22 +151,29 @@ def _bind(params: KeplerParams):
                 minus_two_m * H0 * pphi, (pphi * pphi / r - m_beta) * c + (pr * pphi + lift) * s)
 
     def values(r, phi, pr, pphi):
-        return at(r, pr, pphi, cos(phi), sin(phi), cos(phi / 2), sin(phi / 2), sqrt(r))
+        return at(r, phi, pr, pphi, cos(phi), sin(phi), cos(phi / 2), sin(phi / 2), sqrt(r))
 
-    def stencil(x, step):
+    def stencil(x, step, closures=()):
         r, phi, pr, pphi = x
         dr, dphi, dpr, dpphi = [step * max(1.0, abs(v)) for v in x]
+        if r - dr <= 0 or abs(phi) + dphi >= math.pi:
+            raise BoundaryTooClose(f"point (r={r}, phi={phi}) is within one stencil step"
+                                   " of the domain boundary")
+        point = at
+        if closures:  # built only when needed: the wrapper costs the named-only path
+            def point(r, phi, pr, pphi, *trig):
+                return at(r, phi, pr, pphi, *trig) + tuple(fn(r, phi, pr, pphi) for fn in closures)
         c, s, c2, s2, u = cos(phi), sin(phi), cos(phi / 2), sin(phi / 2), sqrt(r)
         rp, rm, fp, fm = r + dr, r - dr, phi + dphi, phi - dphi
-        return at(r, pr, pphi, c, s, c2, s2, u), [
-            (at(rp, pr, pphi, c, s, c2, s2, sqrt(rp)),
-             at(rm, pr, pphi, c, s, c2, s2, sqrt(rm)), 2 * dr),
-            (at(r, pr, pphi, cos(fp), sin(fp), cos(fp / 2), sin(fp / 2), u),
-             at(r, pr, pphi, cos(fm), sin(fm), cos(fm / 2), sin(fm / 2), u), 2 * dphi),
-            (at(r, pr + dpr, pphi, c, s, c2, s2, u),
-             at(r, pr - dpr, pphi, c, s, c2, s2, u), 2 * dpr),
-            (at(r, pr, pphi + dpphi, c, s, c2, s2, u),
-             at(r, pr, pphi - dpphi, c, s, c2, s2, u), 2 * dpphi),
+        return point(r, phi, pr, pphi, c, s, c2, s2, u), [
+            (point(rp, phi, pr, pphi, c, s, c2, s2, sqrt(rp)),
+             point(rm, phi, pr, pphi, c, s, c2, s2, sqrt(rm)), 2 * dr),
+            (point(r, fp, pr, pphi, cos(fp), sin(fp), cos(fp / 2), sin(fp / 2), u),
+             point(r, fm, pr, pphi, cos(fm), sin(fm), cos(fm / 2), sin(fm / 2), u), 2 * dphi),
+            (point(r, phi, pr + dpr, pphi, c, s, c2, s2, u),
+             point(r, phi, pr - dpr, pphi, c, s, c2, s2, u), 2 * dpr),
+            (point(r, phi, pr, pphi + dpphi, c, s, c2, s2, u),
+             point(r, phi, pr, pphi - dpphi, c, s, c2, s2, u), 2 * dpphi),
         ]
 
     return values, stencil
@@ -187,28 +196,20 @@ def evaluate(obs, params: KeplerParams, point: PhasePoint) -> float:
     return key(*x) if callable(key) else _bind(params)[0](*x)[key]
 
 
-def _stencil(fn, x, step):
-    """(fn(x + d e_i), fn(x - d e_i), 2 d) for each coordinate i, d = step * max(1, |x_i|)."""
-    out = []
-    for i in range(4):
-        d = step * max(1.0, abs(x[i]))
-        xp, xm = list(x), list(x)
-        xp[i] += d
-        xm[i] -= d
-        out.append((fn(*xp), fn(*xm), 2 * d))
-    return out
+def _slots(keys):
+    """(closures, slot): the closures among keys, and slot(key), its index in the stencil tuple."""
+    index = {fn: _M1_BETA + 1 + i for i, fn in enumerate(dict.fromkeys(filter(callable, keys)))}
+    return tuple(index), lambda key: index.get(key, key)
 
 
-def _partials(fn, x, step):
-    """Central-difference gradient of a raw closure at x = (r, phi, pr, pphi)."""
-    return [(fp - fm) / dd for fp, fm, dd in _stencil(fn, x, step)]
-
-
-def _gradient(key, cols, x, step):
-    """Gradient of a key at x: a named key's from the shared stencil cols, a closure's own."""
-    if callable(key):
-        return _partials(key, x, step)
+def _partials(cols, key):
+    """Central-difference gradient of stencil slot key, from the stencil's point columns."""
     return [(vp[key] - vm[key]) / dd for vp, vm, dd in cols]
+
+
+def _bracket(pf, pg):
+    """{f, g} from the gradients of f and g over (r, phi, pr, pphi)."""
+    return pf[0] * pg[2] - pf[2] * pg[0] + pf[1] * pg[3] - pf[3] * pg[1]
 
 
 def _check_step(step):
@@ -217,20 +218,10 @@ def _check_step(step):
         raise InputError(f"step must be finite and positive, got {step}")
 
 
-def _check_boundary(x, step):
-    dr, dphi = (step * max(1.0, abs(v)) for v in x[:2])
-    if x[0] - dr <= 0 or abs(x[1]) + dphi >= math.pi:
-        raise BoundaryTooClose(
-            f"point (r={x[0]}, phi={x[1]}) is within one stencil step of the domain boundary"
-        )
-
-
 def poisson(f, g, params: KeplerParams, point: PhasePoint, step: float = 1e-6) -> float:
     """{f, g} at one phase-space point via central finite differences."""
     x = (point if isinstance(point, PhasePoint) else PhasePoint(*point)).astuple()
-    bracket = poisson_fn(f, g, params, step)
-    _check_boundary(x, step)
-    return bracket(*x)
+    return poisson_fn(f, g, params, step)(*x)
 
 
 def poisson_fn(f, g, params: KeplerParams, step: float = 1e-6):
@@ -240,14 +231,13 @@ def poisson_fn(f, g, params: KeplerParams, step: float = 1e-6):
     poisson_fn should use a larger step (1e-4 works well) than the inner one.
     """
     _check_step(step)
-    kf, kg, stencil = _key(f), _key(g), _bind(params)[1]
-    named = not (callable(kf) and callable(kg))
+    kf, kg = _key(f), _key(g)
+    closures, slot = _slots((kf, kg))
+    stencil, sf, sg = _bind(params)[1], slot(kf), slot(kg)
 
     def value(r, phi, pr, pphi):
-        x = (r, phi, pr, pphi)
-        cols = stencil(x, step)[1] if named else None
-        pf, pg = _gradient(kf, cols, x, step), _gradient(kg, cols, x, step)
-        return pf[0] * pg[2] - pf[2] * pg[0] + pf[1] * pg[3] - pf[3] * pg[1]
+        cols = stencil((r, phi, pr, pphi), step, closures)[1]
+        return _bracket(_partials(cols, sf), _partials(cols, sg))
 
     return value
 
@@ -316,34 +306,30 @@ def _run_identities(identities, params, points, tol, step, n_raising):
 
     A row over observable keys (see _key) states {f, g} = sum float(c) *
     h(x)**p * X(x) over its (c, p, X) terms.  The loop is point-major: at each
-    point one stencil (see _bind) gives every named gradient and value, each
-    power of h is taken once, and all rows share them.  The first n_raising
-    rows raise IdentityFailed at the first failing sample (the first failing
-    row there); the others are only reported.
+    point one stencil (see _bind), closures in its trailing slots, gives every
+    gradient and value, each power of h is taken once, and all rows share
+    them.  The first n_raising rows raise IdentityFailed at the first failing
+    sample (the first failing row there); the others are only reported.
     """
     _refuse_bool(tol, "tol")
     if not 0 <= tol < math.inf:
         raise InputError(f"tol must be finite and nonnegative, got {tol}")
     _check_step(step)
     stencil, h = _bind(params)[1], _key("h")
-    rows = [(name, f, g, [(float(c), p, x) for c, p, x in terms])
+    closures, slot = _slots(key for _, f, g, terms in identities
+                            for key in (f, g, *(x for *_, x in terms)))
+    rows = [(name, slot(f), slot(g), [(float(c), p, slot(x)) for c, p, x in terms])
             for name, f, g, terms in identities]
     operands = {key: None for _, f, g, _ in rows for key in (f, g)}
-    closures = {fn: None for _, f, g, terms in rows
-                for fn in (f, g, *(x for *_, x in terms)) if callable(fn)}
     powers = {p for *_, terms in rows for _, p, _ in terms}
     worst = [0.0] * len(rows)
     for x in points:
-        _check_boundary(x, step)
-        centre, cols = stencil(x, step)
-        grad = {key: _gradient(key, cols, x, step) for key in operands}
-        val = dict(enumerate(centre))
-        val.update((fn, fn(*x)) for fn in closures)
-        hv = centre[h]
+        val, cols = stencil(x, step, closures)
+        grad = {key: _partials(cols, key) for key in operands}
+        hv = val[h]
         hp = {p: hv ** p for p in powers}
         for i, (name, f, g, terms) in enumerate(rows):
-            pf, pg = grad[f], grad[g]
-            lhs = pf[0] * pg[2] - pf[2] * pg[0] + pf[1] * pg[3] - pf[3] * pg[1]
+            lhs = _bracket(grad[f], grad[g])
             want = 0  # summed from 0, left to right, as sum() adds a row of floats
             for c, p, key in terms:
                 want += c * hp[p] * val[key]

@@ -340,6 +340,8 @@ def embedding_check(sub: LoopSpec, host: LoopSpec, gen_map, window=DEFAULT_MAX_L
         raise GradeMismatch(f"h grades differ: {sub.s} != {host.s}")
     gen_map = [(as_int(t, "host index"), as_int(o, "level offset")) for t, o in gen_map]
     window = as_int(window, "window")
+    if window < 0:
+        raise InputError(f"window must be nonnegative, got {window}")
     if len(gen_map) != sub.n_generators:
         raise GradeMismatch("generator map must cover every sub generator")
     for i, (tgt, off) in enumerate(gen_map):

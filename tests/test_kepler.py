@@ -112,6 +112,11 @@ def test_poisson_boundary_guard():
         poisson("H", "L", PARAMS, PhasePoint(1e-7, 0.0, 0.0, 1.0))
     with pytest.raises(BoundaryTooClose):
         poisson("H", "L", PARAMS, PhasePoint(1.0, math.pi - 1e-7, 0.0, 1.0))
+    # a bracket closure guards each point it is called at, not only poisson()'s:
+    # at phi = 3.14159 it read 0.94 across the cut, at r = 1e-7 a math domain error
+    for x in ((1.0, 3.14159, 0.1, 1.0), (1e-7, 0.3, 0.1, 1.0)):
+        with pytest.raises(BoundaryTooClose):
+            poisson_fn("M1", "M2", PARAMS)(*x)
 
 
 def test_identity_suite_pure_kepler():
@@ -426,7 +431,8 @@ def fresh_bind():
 @pytest.mark.parametrize("params", [PARAMS, PURE])
 def test_one_trig_sharing_stencil_per_sample(fresh_bind, monkeypatch, params):
     # per sample: cos, sin of phi and phi/2 at the centre and at phi +- d (12
-    # calls), sqrt at r and r +- d (3 calls), and no closure gradient at all
+    # calls), sqrt at r and r +- d (3 calls), and one gradient read for each
+    # of the 10 distinct operands
     counts = dict.fromkeys(("trig", "sqrt", "partials"), 0)
 
     def counting(group, fn):
@@ -440,4 +446,4 @@ def test_one_trig_sharing_stencil_per_sample(fresh_bind, monkeypatch, params):
     monkeypatch.setattr(fresh_bind, "_partials", counting("partials", fresh_bind._partials))
     report = identity_suite(params, samples=20, seed=4)
     assert report.all_pass
-    assert counts == {"trig": 12 * 20, "sqrt": 3 * 20, "partials": 0}
+    assert counts == {"trig": 12 * 20, "sqrt": 3 * 20, "partials": 10 * 20}

@@ -436,6 +436,10 @@ def test_embedding_reports_per_window(h2, l1, l2):
     for window in (2.0, True):
         with pytest.raises(TypeError, match="window must be an integer"):
             embedding_check(h2, h2, [(0, 0), (1, 0), (2, 0)], window=window)
+    # a negative window reported missing=(), codimension 0, as if every level were covered
+    for sub, gen_map, window in ((h2, [(0, 0), (1, 0), (2, 0)], -3), (l1, F1_MAP, -1)):
+        with pytest.raises(InputError, match=f"^window must be nonnegative, got {window}$"):
+            embedding_check(sub, h2, gen_map, window=window)
 
 
 # -- serialization ------------------------------------------------------------------
