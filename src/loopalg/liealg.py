@@ -5,15 +5,17 @@ For basis indices i < j,
     [X_i, X_j] = sum_k C_ij^k X_k,    C_ij^k(eps) = sum_q eps**q (C_q)_ij^k,
 
 with the (j, i) bracket implied by antisymmetry.  An algebra stores these
-constants as rational layers, one sparse table {(i, j, k): (C_q)_ij^k} per
-exponent q, and each operation is one pass over the layers: eps = 0 keeps
-the q = 0 layer (a negative q has no limit), another value of eps scales
-each layer by eps**q, a weighted rescaling shifts q, and a basis change
-transforms each layer on its own.  The arithmetic passes run in integers: a
-layer is scaled once by the lcm of its denominators, the inner loops add and
-multiply ints, and each constant of the result is built once as a Fraction
-over one common denominator.  A :class:`~loopalg.scalars.PuiseuxScalar`
-is built only where a public method hands a constant out.  Every direct
+constants as integer layers, one per exponent q: a denominator d and a
+sparse table {(i, j, k): n} with (C_q)_ij^k = n / d, d > 0 and gcd(d, every
+n) = 1.  That form is unique, so two algebras with the same constants
+compare equal as plain dicts.  Each operation is one pass over the layers:
+eps = 0 keeps the q = 0 layer (a negative q has no limit), another value of
+eps scales each layer by eps**q, a weighted rescaling shifts q, and a basis
+change transforms each layer on its own.  These passes add and multiply
+ints and divide each result layer once by the gcd of its entries; a Fraction
+is built only where a constant is handed out as a rational, and a
+:class:`~loopalg.scalars.PuiseuxScalar` only where it is handed out with its
+powers of eps.  Every direct
 construction (``from_json`` included) checks the Jacobi identity exactly, so
 every value of this type is a genuine Lie algebra (possibly depending on the
 parameter eps).  Operations whose results are Lie algebras by construction --
@@ -32,7 +34,7 @@ from a list of matrix generators.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .scalars import (InputError, PuiseuxScalar, Rejected, add_term, as_fraction,
@@ -152,8 +154,9 @@ def _to_json(table, exponent):
 
 
 class LieAlgebra:
-    """Lie algebra stored as rational layers: ``_layers[q][(i, j, k)]`` is the
-    eps**q coefficient of C_ij^k, with i < j, no zero entry and no empty layer."""
+    """Lie algebra stored as integer layers: ``_layers[q]`` is (d, {(i, j, k): n}),
+    n / d the eps**q coefficient of C_ij^k, with i < j, d > 0, gcd(d, every n) = 1,
+    no zero entry and no empty layer."""
 
     def __init__(self, dim, brackets, names=None):
         self._dim, self._names = _shape(dim, names)
@@ -162,16 +165,17 @@ class LieAlgebra:
             qc = coeff.terms if isinstance(coeff, PuiseuxScalar) else [(0, as_fraction(coeff))]
             for q, c in qc:
                 add_term(layers.setdefault(q, {}), (i, j, k), c)
-        self._layers = {q: layer for q, layer in layers.items() if layer}
+        self._layers = _canonical({q: _rational_layer(layer) for q, layer in layers.items()})
         self.validate()
 
     @classmethod
     def _from_layers(cls, dim, layers, names) -> "LieAlgebra":
-        """An algebra from layers {q: {(i, j, k): c}} that are Lie by construction;
-        the names are taken as given (the caller's are already checked)."""
+        """An algebra from layers {q: (d, {(i, j, k): n})} (ints, d > 0, no n
+        zero) that are Lie by construction; the names are taken as given (the
+        caller's are already checked)."""
         alg = cls.__new__(cls)
         alg._dim, alg._names = dim, tuple(names)
-        alg._layers = {q: layer for q, layer in layers.items() if layer}
+        alg._layers = _canonical(layers)
         return alg
 
     @property
@@ -185,9 +189,9 @@ class LieAlgebra:
     def _rows(self) -> dict:
         """{(i, j): {k: [(q, c), ...]}} with pairs, targets and exponents sorted."""
         rows: dict[tuple[int, int], dict] = {}
-        for q, layer in sorted(self._layers.items()):
+        for q, (d, layer) in sorted(self._layers.items()):
             for (i, j, k), c in layer.items():
-                rows.setdefault((i, j), {}).setdefault(k, []).append((q, c))
+                rows.setdefault((i, j), {}).setdefault(k, []).append((q, Fraction(c, d)))
         return {ij: dict(sorted(rows[ij].items())) for ij in sorted(rows)}
 
     def brackets(self):
@@ -202,13 +206,14 @@ class LieAlgebra:
                 for k, qc in self._rows().get((a, b), {}).items()}
 
     def validate(self):
-        """Check the Jacobi identity exactly on all basis triples."""
-        # adj[a, b] lists the terms (e, q, c) of [X_a, X_b] = sum c eps**q X_e
+        """Check the Jacobi identity exactly on all basis triples, in ints over
+        the lcm of the layer denominators."""
+        # adj[a, b] lists the terms (e, q, c) of [X_a, X_b] = sum c / den eps**q X_e
+        den, terms = _over_lcm(self._layers)
         adj: dict[tuple[int, int], list] = {}
-        for q, layer in self._layers.items():
-            for (i, j, k), c in layer.items():
-                adj.setdefault((i, j), []).append((k, q, c))
-                adj.setdefault((j, i), []).append((k, q, -c))
+        for q, (i, j, k), c in terms:
+            adj.setdefault((i, j), []).append((k, q, c))
+            adj.setdefault((j, i), []).append((k, q, -c))
         for i in range(self._dim):
             for j in range(i + 1, self._dim):
                 for k in range(j + 1, self._dim):
@@ -217,7 +222,8 @@ class LieAlgebra:
                         for d, q1, c1 in adj.get((b, c), ()):
                             for e, q2, c2 in adj.get((a, d), ()):
                                 add_term(res.setdefault(e, {}), q1 + q2, c1 * c2)
-                    residual = {e: PuiseuxScalar(qc.items()) for e, qc in res.items() if qc}
+                    residual = {e: PuiseuxScalar([(q, Fraction(r, den * den)) for q, r in qc.items()])
+                                for e, qc in res.items() if qc}
                     if residual:
                         raise JacobiViolation(i, j, k, residual)
 
@@ -228,7 +234,8 @@ class LieAlgebra:
 
     def constants_fraction(self) -> dict[tuple[int, int, int], Fraction]:
         """Structure constants as plain rationals; requires an eps-free algebra."""
-        return dict(_eps_free(self, "constants_fraction"))
+        d, layer = _eps_free(self, "constants_fraction")
+        return {key: Fraction(c, d) for key, c in layer.items()}
 
     def same_constants(self, other: "LieAlgebra") -> bool:
         return self._dim == other._dim and self._layers == other._layers
@@ -237,41 +244,40 @@ class LieAlgebra:
         """Substitute an exact rational value for eps (eps = 0 takes the limit)."""
         eps = as_fraction(eps)
         # a diverging layer is named by its first term
-        powers = {q: eps_power(eps, q, next(iter(layer.values())))
-                  for q, layer in self._layers.items()}
-        scaled = [(p, _integer_layer(self._layers[q])) for q, p in powers.items() if p]
+        powers = [(eps_power(eps, q, Fraction(next(iter(layer.values())), d)), d, layer)
+                  for q, (d, layer) in self._layers.items()]
         # every term over one common denominator: den(eps**q) * den(layer)
-        den = lcm(*[p.denominator * d for p, (d, _) in scaled])
+        den = lcm(*[p.denominator * d for p, d, _ in powers if p])
         out: dict[tuple[int, int, int], int] = {}
-        for p, (d, layer) in scaled:
-            f = p.numerator * (den // (p.denominator * d))
-            for key, c in layer.items():
-                add_term(out, key, f * c)
-        return LieAlgebra._from_layers(self._dim, {0: _fraction_layer(out, den)}, self._names)
+        for p, d, layer in powers:
+            if p:
+                f = p.numerator * (den // (p.denominator * d))
+                for key, c in layer.items():
+                    add_term(out, key, f * c)
+        return LieAlgebra._from_layers(self._dim, {0: (den, out)}, self._names)
 
     def change_basis(self, t_rows) -> "LieAlgebra":
         """Rewrite the algebra in the basis Y_a = sum_j T[a][j] X_j (T invertible).
 
-        T, its inverse and each layer are scaled to integers, so the inner
-        loops run in int arithmetic; each new constant is built once, divided
-        by den(T)**2 * den(T**-1) * den(layer).
+        T is scaled once to the integer matrix dt * T and inverted as M / dinv,
+        so the inner loops run in int arithmetic over the stored layers; each
+        new layer is its int sum over dt * dinv * den(layer).
         """
         t = [[as_fraction(x) for x in row] for row in t_rows]
         if len(t) != self._dim or any(len(r) != self._dim for r in t):
             raise WrongDimension("change-of-basis matrix must be dim x dim")
+        dt, t = scale_to_integers(t)
         inv = linalg._integer_inverse(t)
         if inv is None:
             raise LinearlyDependent("change-of-basis matrix is singular")
         tinv, dinv = inv
-        dt, t = scale_to_integers(t)
         # linear in the constants: each layer transforms on its own
-        scaled = {q: _integer_layer(layer) for q, layer in self._layers.items()}
-        pairs = {(i, j) for layer in self._layers.values() for i, j, _ in layer}
+        pairs = {(i, j) for _, layer in self._layers.values() for i, j, _ in layer}
         acc: dict = {q: {} for q in self._layers}
         for a in range(self._dim):
             for b in range(a + 1, self._dim):
                 w = {(i, j): t[a][i] * t[b][j] - t[a][j] * t[b][i] for i, j in pairs}
-                for q, (_, layer) in scaled.items():
+                for q, (_, layer) in self._layers.items():
                     vec: dict[int, int] = {}
                     for (i, j, k), c in layer.items():
                         if w[i, j]:
@@ -281,7 +287,7 @@ class LieAlgebra:
                         for l in range(self._dim):
                             if tinv[k][l]:
                                 add_term(out, (a, b, l), tinv[k][l] * c)
-        layers = {q: _fraction_layer(acc[q], dt * dt * dinv * d) for q, (d, _) in scaled.items()}
+        layers = {q: (dt * dinv * d, acc[q]) for q, (d, _) in self._layers.items()}
         return LieAlgebra._from_layers(self._dim, layers, self._names)
 
     def to_json(self) -> dict:
@@ -296,15 +302,15 @@ class LieAlgebra:
                           for ij, terms in table.items()}, names=data.get("names")))
 
     def __repr__(self):
-        nz = len({key for layer in self._layers.values() for key in layer})
+        nz = len({key for _, layer in self._layers.values() for key in layer})
         return f"LieAlgebra(dim={self._dim}, names={list(self._names)}, nonzero_terms={nz})"
 
 
-def _eps_free(alg: LieAlgebra, op: str) -> dict:
-    """The q = 0 layer {(i, j, k): c} of an eps-free algebra; SymbolicAlgebra otherwise."""
+def _eps_free(alg: LieAlgebra, op: str) -> tuple[int, dict]:
+    """The q = 0 layer (d, {(i, j, k): n}) of an eps-free algebra; SymbolicAlgebra otherwise."""
     if alg.is_symbolic:
         raise SymbolicAlgebra(f"{op} requires eps-free structure constants")
-    return alg._layers.get(0, {})
+    return alg._layers.get(0, (1, {}))
 
 
 def _check_weights(alg: LieAlgebra, weights) -> tuple[Fraction, ...]:
@@ -314,21 +320,36 @@ def _check_weights(alg: LieAlgebra, weights) -> tuple[Fraction, ...]:
     return w
 
 
-def _integer_layer(layer) -> tuple[int, dict]:
-    """(d, {key: d * c}) with d the lcm of the layer's denominators."""
+def _primitive(den, ints) -> tuple[int, dict]:
+    """The stored form of the layer {key: n / den}, den > 0: (d, {key: m})
+    with gcd(d, every m) = 1, by one gcd over the layer."""
+    g = gcd(den, *ints.values())
+    return (den, ints) if g == 1 else (den // g, {key: n // g for key, n in ints.items()})
+
+
+def _canonical(layers) -> dict:
+    """{q: _primitive(d, ints)} over the nonempty layers {q: (d, ints)}."""
+    return {q: _primitive(d, ints) for q, (d, ints) in layers.items() if ints}
+
+
+def _rational_layer(layer) -> tuple[int, dict]:
+    """(d, {key: d * c}) for a layer {key: c} of rationals, d the lcm of its denominators."""
     d, (row,) = scale_to_integers([layer.values()])
     return d, dict(zip(layer, row))
 
 
-def _fraction_layer(layer, den) -> dict:
-    """{key: c / den} for an integer layer, one Fraction per entry."""
-    return {key: Fraction(c, den) for key, c in layer.items()}
+def _over_lcm(layers) -> tuple[int, list]:
+    """(den, [(q, key, n), ...]): every constant of the layers as n / den, den
+    the lcm of the layer denominators."""
+    den = lcm(*[d for d, _ in layers.values()])
+    return den, [(q, key, c * (den // d)) for q, (d, layer) in layers.items()
+                 for key, c in layer.items()]
 
 
 def derived_subalgebra_dim(alg: LieAlgebra) -> int:
     """Dimension of the span of all brackets [X_i, X_j] (exact rank)."""
     rows: dict[tuple[int, int], list] = {}
-    for (i, j, k), c in _integer_layer(_eps_free(alg, "derived_subalgebra_dim"))[1].items():
+    for (i, j, k), c in _eps_free(alg, "derived_subalgebra_dim")[1].items():
         rows.setdefault((i, j), [0] * alg.dim)[k] = c
     return linalg.matrix_rank(list(rows.values()))
 
@@ -337,7 +358,7 @@ def center_dim(alg: LieAlgebra) -> int:
     """Dimension of {x : [x, y] = 0 for all y} (exact nullity)."""
     # row (b, k) holds C_ab^k over a; only the nonzero rows are built
     rows: dict[tuple[int, int], list] = {}
-    for (i, j, k), c in _integer_layer(_eps_free(alg, "center_dim"))[1].items():
+    for (i, j, k), c in _eps_free(alg, "center_dim")[1].items():
         rows.setdefault((j, k), [0] * alg.dim)[i] = c
         rows.setdefault((i, k), [0] * alg.dim)[j] = -c
     return alg.dim - linalg.matrix_rank(list(rows.values()))
@@ -347,9 +368,9 @@ def killing_form(alg: LieAlgebra):
     """B(X_a, X_b) = trace(ad_a . ad_b) as an exact rational matrix.
 
     ad[a] = {(e, d): f * C_ad^e} holds the nonzero entries of ad X_a for the
-    lcm f of the denominators, so each entry is an int sum divided by f**2."""
+    layer denominator f, so each entry is an int sum divided by f**2."""
     n = alg.dim
-    f, layer = _integer_layer(_eps_free(alg, "killing_form"))
+    f, layer = _eps_free(alg, "killing_form")
     ad: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
     for (i, j, k), c in layer.items():
         ad[i][k, j] = c
@@ -377,13 +398,13 @@ def classify3(alg: LieAlgebra) -> str:
     det(T) * T**-T M T**-1, so the inertia of a symmetric M up to an overall
     sign is a basis invariant, and it names the Bianchi class A type: so3
     (IX), so21 (VIII), e2 (VII_0), e11 (VI_0), heisenberg (II) and abelian3
-    (I).  M is read from the constants scaled to integers, which keeps its
-    inertia.
+    (I).  M is read from the stored integer layer, the constants times its
+    positive denominator, which keeps the inertia.
     """
     if alg.dim != 3:
         raise WrongDimension(f"classify3 needs dimension 3, got {alg.dim}")
     m = [[0] * 3 for _ in range(3)]
-    for (i, j, k), c in _integer_layer(_eps_free(alg, "classify3"))[1].items():
+    for (i, j, k), c in _eps_free(alg, "classify3")[1].items():
         # (i, j) = (0, 1), (1, 2) are cyclic; (0, 2) is [X_2, X_0] with its sign flipped
         m[3 - i - j][k] = c if j - i == 1 else -c
     if m[0][1] != m[1][0] or m[0][2] != m[2][0] or m[1][2] != m[2][1]:
@@ -407,7 +428,7 @@ def contract(alg: LieAlgebra, weights) -> LieAlgebra:
     Requires n_i + n_j >= n_k on every nonzero constant; the contracted
     constants keep C_ij^k where n_i + n_j = n_k and drop the rest.
     """
-    layer = _eps_free(alg, "contract")
+    d, layer = _eps_free(alg, "contract")
     w = _check_weights(alg, weights)
     violations = []
     kept = {}
@@ -419,7 +440,7 @@ def contract(alg: LieAlgebra, weights) -> LieAlgebra:
             kept[i, j, k] = c
     if violations:
         raise ContractionUndefined(violations)
-    return LieAlgebra._from_layers(alg.dim, {0: kept}, alg.names)
+    return LieAlgebra._from_layers(alg.dim, {0: (d, kept)}, alg.names)
 
 
 def rescale_basis(alg: LieAlgebra, weights) -> LieAlgebra:
@@ -431,10 +452,11 @@ def rescale_basis(alg: LieAlgebra, weights) -> LieAlgebra:
     limit of rescale_basis(alg, -w), entrywise, whenever it exists.
     """
     w = _check_weights(alg, weights)
+    # layers of different denominators may land on one exponent
+    den, terms = _over_lcm(alg._layers)
     layers: dict = {}
-    for q, layer in alg._layers.items():
-        for (i, j, k), c in layer.items():
-            layers.setdefault(q + w[k] - w[i] - w[j], {})[i, j, k] = c
+    for q, (i, j, k), c in terms:
+        layers.setdefault(q + w[k] - w[i] - w[j], (den, {}))[1][i, j, k] = c
     return LieAlgebra._from_layers(alg.dim, layers, alg.names)
 
 
@@ -474,4 +496,4 @@ def algebra_from_matrices(mats, names=None) -> LieAlgebra:
         # [M_i, M_j] = sum_k c_k M_k gives [A_i, A_j] = sum_k c_k s_k / (s_i s_j) A_k
         layer.update(((i, j, k), red[k][col] * Fraction(scale[k], scale[i] * scale[j]))
                      for k in range(n) if red[k][col])
-    return LieAlgebra._from_layers(n, {0: layer}, names)
+    return LieAlgebra._from_layers(n, {0: _rational_layer(layer)}, names)

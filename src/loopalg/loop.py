@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from math import lcm
 
 from .liealg import JacobiViolation, LieAlgebra, _bracket_terms, _from_json, _shape, _to_json
 from .scalars import FrozenRecord, InputError, Rejected, add_term, as_fraction, as_int
@@ -281,13 +282,15 @@ def _class_name(name: str, level: int) -> str:
 
 def _level0_quotient(spec: LoopSpec, m) -> LieAlgebra:
     """Towers collapsed onto their level-m_i classes, constants
-    coeff * eps**(m_i + m_j + p - m_k); unchecked, the caller validates.
-    InputError if two classes get the same name (A at level 1 and a
-    generator named "h*A")."""
+    coeff * eps**(m_i + m_j + p - m_k), each layer over the lcm den of all
+    base denominators; unchecked, the caller validates.  InputError if two
+    classes get the same name (A at level 1 and a generator named "h*A")."""
+    terms = [(m[i] + m[j] + p - m[k], (i, j, k), c)
+             for (i, j), row in spec._brackets.items() for k, c, p in row]
+    den = lcm(*[c.denominator for _, _, c in terms])
     layers: dict = {}
-    for (i, j), terms in spec.base_brackets().items():
-        for k, c, p in terms:
-            layers.setdefault(m[i] + m[j] + p - m[k], {})[i, j, k] = c
+    for q, key, c in terms:
+        layers.setdefault(q, (den, {}))[1][key] = c.numerator * (den // c.denominator)
     names = [_class_name(n, lvl) for n, lvl in zip(spec.names, m)]
     if len(set(names)) != len(names):
         clash = next(name for name in names if names.count(name) > 1)

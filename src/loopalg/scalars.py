@@ -256,8 +256,9 @@ def signature(form) -> tuple[int, int, int]:
     """Inertia (positives, negatives, zeros) of a symmetric rational matrix.
 
     Computed by exact congruence diagonalization in integers (no floating
-    point), so the result is invariant under any exact change of basis.  The
-    matrix is scaled to integers by the lcm of its denominators; each pivot
+    point), so the result is invariant under any exact change of basis.  A
+    matrix with a non-int entry is scaled to integers by the lcm of its
+    denominators (an all-int one is eliminated as given); each pivot
     piv then replaces the trailing block by sgn(piv) * (piv * a_ij - a_ik * a_kj),
     which is |piv| times the Schur complement, divided by the gcd of its
     entries.  Both scalings are positive, so neither changes the inertia.
@@ -271,7 +272,7 @@ def signature(form) -> tuple[int, int, int]:
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise NotSymmetric(f"entry ({i},{j}) != ({j},{i})")
-    a = scale_to_integers(m)[1]
+    a = m if all(type(x) is int for row in m for x in row) else scale_to_integers(m)[1]
     pos = rank = 0
     while a:
         if not a[0][0]:

@@ -7,10 +7,12 @@ basis change that multiplies PuiseuxScalars term by term, and matrix
 commutators multiplied out in Fraction.  The kernels must return exactly what the references return.
 The layered storage of ``LieAlgebra`` is checked the same way: its round
 trips, substitutions and rescalings against PuiseuxScalar arithmetic on
-each constant.
+each constant, and every operation against the canonical integer form of
+its layers.
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -19,6 +21,7 @@ import pytest
 
 from conftest import CLASSIFIED, NON_UNIMODULAR
 from loopalg import (
+    JacobiViolation,
     LieAlgebra,
     LinearlyDependent,
     PuiseuxScalar,
@@ -27,6 +30,7 @@ from loopalg import (
     bundled_spec,
     center_dim,
     classify3,
+    contract,
     derived_subalgebra_dim,
     factor_algebra,
     killing_form,
@@ -34,9 +38,9 @@ from loopalg import (
     selection_ok,
     signature,
 )
-from loopalg import linalg
+from loopalg import linalg, scalars
 from loopalg.linalg import mat_mul, mat_sub, matrix_rank, row_reduce
-from loopalg.liealg import NotInSpan
+from loopalg.liealg import ContractionUndefined, NotInSpan
 from loopalg.scalars import add_term
 
 
@@ -356,6 +360,70 @@ def test_integer_inverse_is_the_exact_inverse():
     assert 0 < singular < 200
 
 
+def low_rank(rng, nrows, ncols, rank):
+    """nrows x ncols matrix whose rows are small integer combinations of
+    `rank` random rational rows, so its rank is at most `rank`."""
+    base = [[random_entry(rng) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [rng.randint(-3, 3) for _ in range(rank)]
+        rows.append([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*base)] if rank
+                    else [0] * ncols)
+    return rows
+
+
+def check_elimination(m):
+    """row_reduce, matrix_rank and _integer_inverse of m against the Fraction references."""
+    red, pivots = gauss_jordan(m)
+    assert row_reduce(m) == (red, pivots)
+    assert matrix_rank(m) == len(pivots)
+    if len(m) == (len(m[0]) if m else 0):
+        inv = linalg._integer_inverse(m)
+        if len(pivots) < len(m):
+            assert inv is None
+        else:
+            inverse, d = inv
+            assert [[Fraction(x, d) for x in row] for row in inverse] == ref_inverse(m)
+    return len(pivots)
+
+
+def test_bareiss_elimination_matches_fraction_gauss_jordan_on_low_rank_matrices():
+    # exact division by the previous pivot must hold through row swaps,
+    # skipped columns and rows whose entry in the pivot column is zero
+    rng = random.Random(1968)
+    deficient = full = 0
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        rank = rng.randint(0, min(nrows, ncols))
+        m = low_rank(rng, nrows, ncols, rank)
+        if rng.random() < 0.3:
+            c = rng.randrange(ncols)
+            for row in m:
+                row[c] = 0
+        got = check_elimination(m)
+        assert got <= rank
+        deficient += got < min(nrows, ncols)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        full += check_elimination(low_rank(rng, n, n, n)) == n
+    assert deficient > 75 and full > 20
+
+
+def test_bareiss_elimination_of_a_large_matrix_matches_and_stays_fast():
+    rng = random.Random(22)
+    cases = [low_rank(rng, 24, 24, 20), low_rank(rng, 24, 24, 24)]
+    start = time.perf_counter()
+    results = [(row_reduce(m), matrix_rank(m), linalg._integer_inverse(m)) for m in cases]
+    elapsed = time.perf_counter() - start
+    for m, (reduced, rank, inv) in zip(cases, results):
+        assert reduced == gauss_jordan(m) and rank == len(reduced[1])
+    assert results[0][2] is None and results[0][1] <= 20
+    inverse, d = results[1][2]
+    assert results[1][1] == 24
+    assert [[Fraction(x, d) for x in row] for row in inverse] == ref_inverse(cases[1])
+    assert elapsed < 0.5
+
+
 # -- signature -------------------------------------------------------------------------
 
 def test_signature_matches_fraction_congruence():
@@ -381,6 +449,22 @@ def test_signature_of_a_large_matrix_matches_and_stays_fast():
     elapsed = time.perf_counter() - start
     assert sig == ref_signature(m)
     assert elapsed < 0.5
+
+
+def test_signature_of_an_int_matrix_skips_the_rational_scaling(monkeypatch):
+    rng = random.Random(2121)
+    # 420 clears every denominator random_entry draws
+    cases = [[[int(x * 420) for x in row] for row in random_symmetric(rng, rng.randint(0, 8))]
+             for _ in range(300)]
+
+    def refuse(rows):
+        raise AssertionError("signature scaled an all-int matrix")
+
+    monkeypatch.setattr(scalars, "scale_to_integers", refuse)
+    for m in cases:
+        assert signature(m) == ref_signature(m), m
+    with pytest.raises(AssertionError, match="scaled"):
+        signature([[Fraction(1, 2)]])
 
 
 # -- invariants ----------------------------------------------------------------------
@@ -559,3 +643,126 @@ def test_inverse_basis_change_cancels_back_to_the_quotient():
         assert back.same_constants(family)
         assert back.brackets() == family.brackets()
         assert repr(back) == repr(family)
+
+
+# -- integer layers -----------------------------------------------------------------
+
+def assert_canonical(alg):
+    """Every layer is (d, {(i, j, k): n}): ints, d > 0, gcd(d, every n) = 1, no zero, none empty."""
+    for q, (d, layer) in alg._layers.items():
+        assert type(d) is int and d > 0
+        assert layer and all(type(n) is int and n for n in layer.values())
+        assert math.gcd(d, *layer.values()) == 1
+        assert all(0 <= i < j < alg.dim and 0 <= k < alg.dim for i, j, k in layer)
+
+
+def test_every_constructor_and_operation_stores_canonical_integer_layers():
+    rng = random.Random(2020)
+    built = [build() for build in CLASSIFIED.values()]
+    built += [LieAlgebra(3, table) for table in NON_UNIMODULAR.values()]
+    built.append(LieAlgebra(3, {(0, 1): {2: PuiseuxScalar([(Fraction(1, 2), Fraction(1, 3)), (0, 2)])},
+                                (0, 2): {1: PuiseuxScalar.monomial(Fraction(-5, 6), 1)}}))
+    built += [LieAlgebra.from_json(alg.to_json()) for alg in built]
+    rotations, boosts, _ = lorentz_matrices()
+    built += [so31(), algebra_from_matrices(conjugate(rotations + boosts, random_basis(rng, 4)))]
+    for family, changed, _ in _changed_quotients():
+        built += [family, changed]
+        built += [changed.evaluate_at(e) for e in (1, Fraction(1, 4), 0, Fraction(-9, 4))]
+        built.append(rescale_basis(changed, (Fraction(1, 2), 0, 1)))
+    eps_free = [alg for alg in built if not alg.is_symbolic]
+    built += [alg.change_basis(random_basis(rng, alg.dim)) for alg in eps_free]
+    built += [contract(alg, [0] * alg.dim) for alg in eps_free]
+    built += [contract(alg, [1] * alg.dim) for alg in eps_free]
+    for alg in built:
+        assert_canonical(alg)
+    assert len(built) > 400
+
+
+def test_two_routes_to_one_contraction_store_the_same_layers():
+    # Y = (X0, X1 / 2, X2 / 3) of so3: [Y0, Y1] = 3/2 Y2, [Y1, Y2] = 1/6 Y0,
+    # [Y0, Y2] = -2/3 Y1, one layer over 6; w keeps only [Y0, Y1], which
+    # contract reduces from 9/6 and rescale_basis splits off the q = 2 layer
+    alg = CLASSIFIED["so3"]().change_basis([[1, 0, 0], [0, Fraction(1, 2), 0],
+                                            [0, 0, Fraction(1, 3)]])
+    w = (1, 1, 2)
+    family = rescale_basis(alg, [-x for x in w])
+    assert alg._layers == {0: (6, {(0, 1, 2): 9, (0, 2, 1): -4, (1, 2, 0): 1})}
+    assert family._layers == {0: (2, {(0, 1, 2): 3}), 2: (6, {(0, 2, 1): -4, (1, 2, 0): 1})}
+    contracted = contract(alg, w)
+    assert contracted.same_constants(family.evaluate_at(0))
+    assert contracted._layers == {0: (2, {(0, 1, 2): 3})}
+    assert classify3(contracted) == "heisenberg"
+    for _, changed, _ in _changed_quotients():
+        alg = changed.evaluate_at(Fraction(1, 3))
+        for w in ((0, 0, 0), (0, 1, 1), (1, 1, 2), (1, 0, 1)):
+            try:
+                contracted = contract(alg, w)
+            except ContractionUndefined:
+                continue
+            assert contracted.same_constants(rescale_basis(alg, [-x for x in w]).evaluate_at(0))
+
+
+def ref_jacobi_violation(alg):
+    """(triple, residual) of the first failing basis triple i < j < k, in
+    PuiseuxScalar arithmetic on brackets(); None when the identity holds."""
+    table = alg.brackets()
+
+    def bracket(a, b):
+        if a < b:
+            return table.get((a, b), {})
+        return {k: s * -1 for k, s in table.get((b, a), {}).items()}
+
+    for i, j, k in itertools.combinations(range(alg.dim), 3):
+        res = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for d, s in bracket(b, c).items():
+                for e, t in bracket(a, d).items():
+                    res[e] = res.get(e, PuiseuxScalar()) + s * t
+        res = {e: s for e, s in res.items() if s}
+        if res:
+            return (i, j, k), res
+    return None
+
+
+# Failing tables: one rational, one with fractional exponents and layers over
+# different denominators, one whose first failure is not the first triple.
+FAILING = {
+    "rational": (3, {(0, 1): {2: Fraction(1, 2)}, (0, 2): {0: Fraction(-3, 4)},
+                     (1, 2): {1: Fraction(2, 3)}}),
+    "symbolic": (3, {(0, 1): {2: PuiseuxScalar([(Fraction(1, 2), Fraction(1, 3)), (0, 2)])},
+                     (0, 2): {1: PuiseuxScalar.monomial(Fraction(-5, 6), 1),
+                              2: PuiseuxScalar.monomial(Fraction(1, 7), 0)},
+                     (1, 2): {0: PuiseuxScalar.monomial(Fraction(3, 4), Fraction(1, 2)),
+                              1: PuiseuxScalar.monomial(Fraction(1, 5), 2)}}),
+    "later_triple": (4, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1},
+                         (2, 3): {3: Fraction(1, 2)}, (1, 3): {2: Fraction(1, 3)}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_integer_jacobi_check_reports_the_puiseux_residual(name, monkeypatch):
+    dim, table = FAILING[name]
+    with pytest.raises(JacobiViolation) as err:
+        LieAlgebra(dim, table)
+    monkeypatch.setattr(LieAlgebra, "validate", lambda self: None)
+    unchecked = LieAlgebra(dim, table)
+    monkeypatch.undo()
+    assert (err.value.triple, err.value.residual) == ref_jacobi_violation(unchecked)
+    with pytest.raises(JacobiViolation) as again:
+        unchecked.validate()
+    assert str(again.value) == str(err.value)
+
+
+def test_integer_jacobi_residuals_are_pinned():
+    pinned = {
+        "rational": ((0, 1, 2), "{2: PuiseuxScalar(-1/24)}"),
+        "symbolic": ((0, 1, 2), "{2: PuiseuxScalar(2/5*eps^2 + 1/15*eps^(5/2)), "
+                                "0: PuiseuxScalar(-3/28*eps^(1/2)), 1: PuiseuxScalar(-1/35*eps^2)}"),
+        "later_triple": ((0, 1, 3), "{1: PuiseuxScalar(-1/3), 3: PuiseuxScalar(-1/2)}"),
+    }
+    for name, (dim, table) in FAILING.items():
+        with pytest.raises(JacobiViolation) as err:
+            LieAlgebra(dim, table)
+        triple, residual = pinned[name]
+        assert err.value.triple == triple and repr(err.value.residual) == residual
+        assert str(err.value) == f"Jacobi identity fails on triple ({','.join(map(str, triple))}); residual {residual}"
