@@ -34,11 +34,12 @@ from a list of matrix generators.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from . import linalg
-from .scalars import (InputError, PuiseuxScalar, Rejected, add_term, as_fraction,
-                      as_int, eps_power, scale_to_integers, signature)
+from .scalars import (InputError, PuiseuxScalar, Rejected, _inertia, add_term, as_fraction,
+                      as_int, eps_power, scale_to_integers)
 
 CLASS_LABELS = ("so3", "so21", "e2", "e11", "heisenberg", "abelian3", "other")
 
@@ -127,7 +128,8 @@ def _bracket_terms(brackets, n, error):
 def _from_json(data, exponent, error, what, build):
     """build(table) for a JSON description, its ``brackets`` list read as
     {(i, j): [(k, c, e), ...]} with e the ``exponent`` entry (0 when absent).
-    A KeyError, TypeError, ValueError or ArithmeticError becomes ``error``."""
+    A KeyError, TypeError, ValueError (a bad rational's InputError included)
+    or ArithmeticError becomes ``error``."""
     try:
         if not isinstance(data, dict):
             raise TypeError(f"expected a JSON object, got {type(data).__name__}")
@@ -139,7 +141,7 @@ def _from_json(data, exponent, error, what, build):
             table.setdefault((i, j), []).extend(
                 (t["k"], t["c"], t.get(exponent, 0)) for t in entry["terms"])
         return build(table)
-    except (InputError, Rejected):
+    except (error, Rejected):
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise error(f"malformed {what}: {exc}") from exc
@@ -243,9 +245,11 @@ class LieAlgebra:
     def evaluate_at(self, eps) -> "LieAlgebra":
         """Substitute an exact rational value for eps (eps = 0 takes the limit)."""
         eps = as_fraction(eps)
-        # a diverging layer is named by its first term
-        powers = [(eps_power(eps, q, Fraction(next(iter(layer.values())), d)), d, layer)
-                  for q, (d, layer) in self._layers.items()]
+        powers = []
+        for q, (d, layer) in self._layers.items():
+            # only eps = 0 with q < 0 diverges, and eps_power names that layer by its first term
+            first = Fraction(next(iter(layer.values())), d) if q < 0 and not eps else None
+            powers.append((eps_power(eps, q, first), d, layer))
         # every term over one common denominator: den(eps**q) * den(layer)
         den = lcm(*[p.denominator * d for p, d, _ in powers if p])
         out: dict[tuple[int, int, int], int] = {}
@@ -259,18 +263,17 @@ class LieAlgebra:
     def change_basis(self, t_rows) -> "LieAlgebra":
         """Rewrite the algebra in the basis Y_a = sum_j T[a][j] X_j (T invertible).
 
-        T is scaled once to the integer matrix dt * T and inverted as M / dinv,
-        so the inner loops run in int arithmetic over the stored layers; each
-        new layer is its int sum over dt * dinv * den(layer).
+        T is prepared once (:func:`_prepared_basis`): scaled to the integer
+        matrix dt * T and inverted as M / dinv.  The last T's preparation is
+        kept, so a run of basis changes by one T (an algebra, then each of its
+        specialisations) scales and inverts it once.  The inner loops run in
+        int arithmetic over the stored layers; each new layer is its int sum
+        over dt * dinv * den(layer).
         """
-        t = [[as_fraction(x) for x in row] for row in t_rows]
+        t = tuple([tuple([as_fraction(x) for x in row]) for row in t_rows])
         if len(t) != self._dim or any(len(r) != self._dim for r in t):
             raise WrongDimension("change-of-basis matrix must be dim x dim")
-        dt, t = scale_to_integers(t)
-        inv = linalg._integer_inverse(t)
-        if inv is None:
-            raise LinearlyDependent("change-of-basis matrix is singular")
-        tinv, dinv = inv
+        scale, t, tinv = _prepared_basis(t)
         # linear in the constants: each layer transforms on its own
         pairs = {(i, j) for _, layer in self._layers.values() for i, j, _ in layer}
         acc: dict = {q: {} for q in self._layers}
@@ -287,7 +290,7 @@ class LieAlgebra:
                         for l in range(self._dim):
                             if tinv[k][l]:
                                 add_term(out, (a, b, l), tinv[k][l] * c)
-        layers = {q: (dt * dinv * d, acc[q]) for q, (d, _) in self._layers.items()}
+        layers = {q: (scale * d, acc[q]) for q, (d, _) in self._layers.items()}
         return LieAlgebra._from_layers(self._dim, layers, self._names)
 
     def to_json(self) -> dict:
@@ -304,6 +307,19 @@ class LieAlgebra:
     def __repr__(self):
         nz = len({key for _, layer in self._layers.values() for key in layer})
         return f"LieAlgebra(dim={self._dim}, names={list(self._names)}, nonzero_terms={nz})"
+
+
+@lru_cache(maxsize=1)
+def _prepared_basis(t) -> tuple[int, tuple, tuple]:
+    """(dt * dinv, dt * T, M) for a basis change T, a tuple of Fraction rows:
+    dt the lcm of T's denominators and M / dinv = (dt * T)**-1, all ints.
+    One T is kept, and a singular T raises LinearlyDependent (never kept)."""
+    dt, ints = scale_to_integers(t)
+    inv = linalg._integer_inverse(ints)
+    if inv is None:
+        raise LinearlyDependent("change-of-basis matrix is singular")
+    tinv, dinv = inv
+    return dt * dinv, tuple(map(tuple, ints)), tuple(map(tuple, tinv))
 
 
 def _eps_free(alg: LieAlgebra, op: str) -> tuple[int, dict]:
@@ -399,7 +415,8 @@ def classify3(alg: LieAlgebra) -> str:
     sign is a basis invariant, and it names the Bianchi class A type: so3
     (IX), so21 (VIII), e2 (VII_0), e11 (VI_0), heisenberg (II) and abelian3
     (I).  M is read from the stored integer layer, the constants times its
-    positive denominator, which keeps the inertia.
+    positive denominator, which keeps the inertia, and goes straight to the
+    integer-inertia kernel behind :func:`~loopalg.scalars.signature`.
     """
     if alg.dim != 3:
         raise WrongDimension(f"classify3 needs dimension 3, got {alg.dim}")
@@ -409,7 +426,7 @@ def classify3(alg: LieAlgebra) -> str:
         m[3 - i - j][k] = c if j - i == 1 else -c
     if m[0][1] != m[1][0] or m[0][2] != m[2][0] or m[1][2] != m[2][1]:
         return "other"
-    pos, neg, _ = signature(m)
+    pos, neg, _ = _inertia(m)
     return _BIANCHI_LABELS[max(pos, neg), min(pos, neg)]
 
 

@@ -1,12 +1,12 @@
 """Small exact linear algebra kernel over the rationals (rank, inverse).
 
 Entries are ints or Fractions.  Every kernel scales the matrix to integers
-(``scalars.scale_to_integers``), eliminates in int arithmetic and builds a
-Fraction only for an entry it returns (fraction-free elimination): the rank
-builds none, and the inverse returns int entries over one denominator.  The
-elimination divides each updated row exactly by the previous pivot
-(Bareiss, Math. Comp. 22, 1968), so every entry stays a minor of the input
-and no row needs a gcd.
+(``scalars.scale_to_integers``; the inverse takes an all-int matrix as
+given), eliminates in int arithmetic and builds a Fraction only for an
+entry it returns (fraction-free elimination): the rank builds none, and the
+inverse returns int entries over one denominator.  The elimination divides
+each updated row exactly by the previous pivot (Bareiss, Math. Comp. 22,
+1968), so every entry stays a minor of the input and no row needs a gcd.
 """
 
 from __future__ import annotations
@@ -71,10 +71,12 @@ def _integer_inverse(rows):
 
     Gauss-Jordan on [s * T | s * I] leaves det * [I | T**-1] with det the
     determinant of s * T up to sign, so d = |det| is read off the diagonal.
+    An all-int T is taken as given (s = 1).
     """
     n = len(rows)
-    m = scale_to_integers([list(row) + [int(i == j) for j in range(n)]
-                           for i, row in enumerate(rows)])[1]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    if not all(type(x) is int for row in rows for x in row):
+        m = scale_to_integers(m)[1]
     if _eliminate(m) != list(range(n)):
         return None
     det = m[0][0] if m else 1

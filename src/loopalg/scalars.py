@@ -39,11 +39,17 @@ class NotSymmetric(Rejected):
 
 
 def as_fraction(value: Fraction | int | str) -> Fraction:
-    """Coerce ints, strings like "3/2" and Fractions to Fraction; a float or bool is a TypeError."""
+    """Coerce ints, strings like "3/2" and Fractions to Fraction; a float or bool is a
+    TypeError, and a string that is no rational (or has a zero denominator) an InputError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:
+            raise InputError(f"not a rational: {value!r}") from None
+        except ZeroDivisionError:
+            raise InputError(f"zero denominator: {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -258,10 +264,8 @@ def signature(form) -> tuple[int, int, int]:
     Computed by exact congruence diagonalization in integers (no floating
     point), so the result is invariant under any exact change of basis.  A
     matrix with a non-int entry is scaled to integers by the lcm of its
-    denominators (an all-int one is eliminated as given); each pivot
-    piv then replaces the trailing block by sgn(piv) * (piv * a_ij - a_ik * a_kj),
-    which is |piv| times the Schur complement, divided by the gcd of its
-    entries.  Both scalings are positive, so neither changes the inertia.
+    denominators (a positive scale, which keeps the inertia; an all-int one
+    is eliminated as given) and handed to :func:`_inertia`.
     """
     m = [[x if type(x) is int else as_fraction(x) for x in row] for row in form]
     n = len(m)
@@ -272,7 +276,18 @@ def signature(form) -> tuple[int, int, int]:
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise NotSymmetric(f"entry ({i},{j}) != ({j},{i})")
-    a = m if all(type(x) is int for row in m for x in row) else scale_to_integers(m)[1]
+    return _inertia(m if all(type(x) is int for row in m for x in row) else scale_to_integers(m)[1])
+
+
+def _inertia(a) -> tuple[int, int, int]:
+    """Inertia of a symmetric int matrix, given as a list of row lists it consumes.
+
+    Each pivot piv replaces the trailing block by
+    sgn(piv) * (piv * a_ij - a_ik * a_kj), which is |piv| times the Schur
+    complement, divided by the gcd of its entries; both scalings are
+    positive, so neither changes the inertia.
+    """
+    n = len(a)
     pos = rank = 0
     while a:
         if not a[0][0]:

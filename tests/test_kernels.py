@@ -19,11 +19,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CLASSIFIED, NON_UNIMODULAR
+from conftest import CLASSIFIED, NON_UNIMODULAR, random_invertible
 from loopalg import (
     JacobiViolation,
     LieAlgebra,
     LinearlyDependent,
+    NotSymmetric,
     PuiseuxScalar,
     SymbolicAlgebra,
     algebra_from_matrices,
@@ -37,8 +38,9 @@ from loopalg import (
     rescale_basis,
     selection_ok,
     signature,
+    WrongDimension,
 )
-from loopalg import linalg, scalars
+from loopalg import liealg, linalg, scalars
 from loopalg.linalg import mat_mul, mat_sub, matrix_rank, row_reduce
 from loopalg.liealg import ContractionUndefined, NotInSpan
 from loopalg.scalars import add_term
@@ -424,6 +426,29 @@ def test_bareiss_elimination_of_a_large_matrix_matches_and_stays_fast():
     assert elapsed < 0.5
 
 
+def test_integer_inverse_of_an_int_matrix_skips_the_rational_scaling(monkeypatch):
+    rng = random.Random(3131)
+    cases = [low_rank(rng, n, n, rng.choice((n, n, n - 1))) for n in range(1, 9) for _ in range(20)]
+    cases = [[[int(x * 420) for x in row] for row in m] for m in cases]
+
+    def refuse(rows):
+        raise AssertionError("_integer_inverse scaled an all-int matrix")
+
+    monkeypatch.setattr(linalg, "scale_to_integers", refuse)
+    regular = 0
+    for m in cases:
+        inv = linalg._integer_inverse(m)
+        if len(gauss_jordan(m)[1]) < len(m):
+            assert inv is None
+        else:
+            inverse, d = inv
+            assert [[Fraction(x, d) for x in row] for row in inverse] == ref_inverse(m)
+            regular += 1
+    assert 40 < regular < len(cases)
+    with pytest.raises(AssertionError, match="scaled"):
+        linalg._integer_inverse([[Fraction(1, 2)]])
+
+
 # -- signature -------------------------------------------------------------------------
 
 def test_signature_matches_fraction_congruence():
@@ -465,6 +490,21 @@ def test_signature_of_an_int_matrix_skips_the_rational_scaling(monkeypatch):
         assert signature(m) == ref_signature(m), m
     with pytest.raises(AssertionError, match="scaled"):
         signature([[Fraction(1, 2)]])
+
+
+def test_signature_refuses_what_it_refused_before_the_inertia_kernel():
+    with pytest.raises(NotSymmetric, match="^matrix is not square$"):
+        signature([[1, 0], [0]])
+    with pytest.raises(NotSymmetric, match="^matrix is not square$"):
+        signature([[1, 2, 3]])
+    with pytest.raises(NotSymmetric, match=r"^entry \(0,2\) != \(2,0\)$"):
+        signature([[1, 0, 1], [0, 1, 0], [2, 0, 1]])
+    with pytest.raises(NotSymmetric, match=r"^entry \(0,1\) != \(1,0\)$"):
+        signature([[0, Fraction(1, 2)], ["1/3", 0]])
+    with pytest.raises(TypeError, match=r"^not an exact rational: 1\.5$"):
+        signature([[1.5]])
+    with pytest.raises(TypeError, match="^not an exact rational: True$"):
+        signature([[1, True], [True, 1]])
 
 
 # -- invariants ----------------------------------------------------------------------
@@ -554,6 +594,22 @@ def test_classify3_matches_dense_reference_on_changed_quotients():
     assert count > 100
 
 
+def test_classify3_reads_the_inertia_kernel_not_the_public_signature(monkeypatch):
+    def refuse(form):
+        raise AssertionError("classify3 called the public signature")
+
+    monkeypatch.setattr(scalars, "signature", refuse)
+    monkeypatch.setattr(liealg, "signature", refuse, raising=False)
+    labels = {"I": "abelian3", "II": "heisenberg", "VI_0": "e11", "VII_0": "e2",
+              "VIII": "so21", "IX": "so3"}
+    rng = random.Random(1969)
+    for name, alg in BIANCHI.items():
+        assert classify3(alg) == labels.get(name, "other")
+        for _ in range(10):
+            changed = alg.change_basis(random_invertible(rng, 3))
+            assert classify3(changed) == ref_classify3(changed) == labels.get(name, "other")
+
+
 @pytest.mark.parametrize("reader", [derived_subalgebra_dim, center_dim, killing_form, classify3])
 def test_invariant_readers_name_themselves_on_symbolic_input(reader):
     family = factor_algebra(bundled_spec("h2"))
@@ -579,6 +635,87 @@ def test_change_basis_matches_termwise_reference_on_symbolic_quotients():
             for eps in (1, Fraction(1, 4), 0, -1):
                 assert changed.evaluate_at(eps).same_constants(family.evaluate_at(eps).change_basis(t))
     assert families > 30
+
+
+# -- the prepared basis ---------------------------------------------------------------
+# change_basis keeps the last T's integer scaling and inverse: a hit must give
+# what a miss gives, and what the termwise reference gives.
+
+def test_change_basis_memo_over_a_sequence_of_two_bases():
+    rng = random.Random(3)
+    family = factor_algebra(bundled_spec("l1"), (1, 0, 1))
+    t, t2 = random_basis(rng, 3), random_basis(rng, 3)
+    results = [family.change_basis(m) for m in (t, t2, t, t, t2)]
+    for got, m in zip(results, (t, t2, t, t, t2)):
+        assert got.same_constants(ref_change_basis(family, m))
+    assert results[0].same_constants(results[2]) and results[1].same_constants(results[4])
+    for eps in (1, Fraction(1, 2), 0, -1):
+        point = family.evaluate_at(eps)
+        assert point.change_basis(t).same_constants(results[0].evaluate_at(eps))
+
+
+def test_change_basis_memo_keys_on_the_exact_entries():
+    alg = CLASSIFIED["so3"]()
+    ints = [[1, 2, 0], [0, 1, -1], [3, 0, 1]]
+    info = liealg._prepared_basis.cache_info
+    start = info()
+    results = [alg.change_basis(ints),
+               alg.change_basis([[Fraction(x) for x in row] for row in ints]),
+               alg.change_basis([[str(x) for x in row] for row in ints]),
+               alg.change_basis([[Fraction(2 * x, 2) for x in row] for row in ints])]
+    assert info().misses - start.misses <= 1 and info().hits - start.hits >= 3
+    assert info().currsize == info().maxsize == 1
+    want = ref_change_basis(alg, [[Fraction(x) for x in row] for row in ints])
+    assert all(got.same_constants(want) for got in results)
+    # T / 2 is another key: a miss, and the result of T / 2
+    halves = [[Fraction(x, 2) for x in row] for row in ints]
+    misses = info().misses
+    assert alg.change_basis(halves).same_constants(ref_change_basis(alg, halves))
+    assert info().misses == misses + 1
+
+
+def test_change_basis_memo_reads_the_callers_matrix_again():
+    rng = random.Random(5)
+    alg = factor_algebra(bundled_spec("h2"))
+    t = [list(row) for row in random_basis(rng, 3)]
+    before = [list(row) for row in t]
+    first = alg.change_basis(t)
+    # the same list objects, changed in place
+    t[0][2] -= Fraction(1, 2)
+    while len(gauss_jordan(t)[1]) < 3:
+        t[0][0] += 1
+    second = alg.change_basis(t)
+    assert first.same_constants(ref_change_basis(alg, before))
+    assert second.same_constants(ref_change_basis(alg, t))
+    assert not second.same_constants(first)
+
+
+def test_change_basis_memo_never_keeps_a_refusal():
+    alg = CLASSIFIED["so21"]()
+    t = [[1, 1, 0], [0, 1, 0], [0, 0, 2]]
+    good = alg.change_basis(t)
+    singular = [[1, 1, 0], [2, 2, 0], [0, 0, 1]]
+    for _ in range(2):
+        with pytest.raises(LinearlyDependent, match="^change-of-basis matrix is singular$"):
+            alg.change_basis(singular)
+    alg.change_basis(t)
+    for wrong in ([[1, 0], [0, 1]], [[1, 1, 0], [0, 1, 0]], [[1, 1, 0], [0, 1], [0, 0, 2]]):
+        with pytest.raises(WrongDimension, match="^change-of-basis matrix must be dim x dim$"):
+            alg.change_basis(wrong)
+    with pytest.raises(TypeError, match=r"^not an exact rational: 0\.5$"):
+        alg.change_basis([[1, 1, 0], [0, 0.5, 0], [0, 0, 2]])
+    assert alg.change_basis(t).same_constants(good)
+    assert good.same_constants(ref_change_basis(alg, [[Fraction(x) for x in row] for row in t]))
+
+
+def test_change_basis_memo_on_so31():
+    rng = random.Random(31)
+    alg = so31()
+    bases = [random_basis(rng, 6) for _ in range(2)]
+    for t in (bases[0], bases[0], bases[1], bases[0]):
+        got = alg.change_basis(t)
+        assert got.same_constants(ref_change_basis(alg, t))
+        assert got.change_basis(ref_inverse(t)).same_constants(alg)
 
 
 # -- layered storage ----------------------------------------------------------------

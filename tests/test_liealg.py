@@ -7,6 +7,7 @@ import pytest
 from conftest import CLASSIFIED, NON_UNIMODULAR, abelian3, e2, heisenberg, random_invertible, so3
 from loopalg import (
     ContractionUndefined,
+    InputError,
     JacobiViolation,
     LieAlgebra,
     LinearlyDependent,
@@ -21,6 +22,7 @@ from loopalg import (
     is_classic_iw,
     killing_form,
     rescale_basis,
+    signature,
 )
 from loopalg.liealg import AlgebraFormatError, NotInSpan
 
@@ -424,6 +426,30 @@ def test_json_round_trip_and_format_errors():
         LieAlgebra.from_json({"brackets": []})
     with pytest.raises(AlgebraFormatError, match="expected a JSON object, got list"):
         LieAlgebra.from_json([])
+
+
+@pytest.mark.parametrize("call, why, value", [
+    (lambda alg: LieAlgebra(3, {(0, 1): {2: "x"}}), "not a rational", "'x'"),
+    (lambda alg: alg.change_basis("abc"), "not a rational", "'a'"),
+    (lambda alg: alg.evaluate_at("1/0"), "zero denominator", "'1/0'"),
+    (lambda alg: contract(alg, ["x", 0, 0]), "not a rational", "'x'"),
+    (lambda alg: rescale_basis(alg, ["1/0", 0, 0]), "zero denominator", "'1/0'"),
+    (lambda alg: signature([["x"]]), "not a rational", "'x'"),
+    (lambda alg: alg.change_basis([[1, 0, 0], [0, "2/0", 0], [0, 0, 1]]), "zero denominator", "'2/0'"),
+], ids=["constructor", "change_basis", "evaluate_at", "contract", "rescale_basis", "signature",
+        "change_basis_entry"])
+def test_a_malformed_rational_is_an_input_error_naming_it(call, why, value):
+    with pytest.raises(InputError) as err:
+        call(so3())
+    assert type(err.value) is InputError and str(err.value) == f"{why}: {value}"
+
+
+def test_a_malformed_rational_in_a_description_stays_a_format_error():
+    for c, message in (("x", "not a rational: 'x'"), ("1/0", "zero denominator: '1/0'")):
+        data = {"dim": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"k": 0, "c": c, "q": "0"}]}]}
+        with pytest.raises(AlgebraFormatError) as err:
+            LieAlgebra.from_json(data)
+        assert str(err.value) == f"malformed algebra description: {message}"
 
 
 def test_evaluate_at_on_symbolic_family():
