@@ -38,8 +38,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import linalg
-from .scalars import (InputError, PuiseuxScalar, Rejected, _inertia, add_term, as_fraction,
-                      as_int, eps_power, scale_to_integers)
+from .scalars import (InputError, PuiseuxScalar, Rejected, _as_row, _inertia, add_term,
+                      as_fraction, as_int, eps_power, scale_to_integers)
 
 CLASS_LABELS = ("so3", "so21", "e2", "e11", "heisenberg", "abelian3", "other")
 
@@ -270,7 +270,7 @@ class LieAlgebra:
         int arithmetic over the stored layers; each new layer is its int sum
         over dt * dinv * den(layer).
         """
-        t = tuple([tuple([as_fraction(x) for x in row]) for row in t_rows])
+        t = tuple([tuple(_as_row(row)) for row in t_rows])
         if len(t) != self._dim or any(len(r) != self._dim for r in t):
             raise WrongDimension("change-of-basis matrix must be dim x dim")
         scale, t, tinv = _prepared_basis(t)
@@ -330,7 +330,7 @@ def _eps_free(alg: LieAlgebra, op: str) -> tuple[int, dict]:
 
 
 def _check_weights(alg: LieAlgebra, weights) -> tuple[Fraction, ...]:
-    w = tuple(as_fraction(x) for x in weights)
+    w = tuple(_as_row(weights))
     if len(w) != alg.dim:
         raise WrongDimension(f"expected {alg.dim} weights, got {len(w)}")
     return w
@@ -432,11 +432,8 @@ def classify3(alg: LieAlgebra) -> str:
 
 def is_classic_iw(weights) -> bool:
     """True iff every weight is 0 or equal to one common positive constant."""
-    w = [as_fraction(x) for x in weights]
-    nonzero = {x for x in w if x != 0}
-    if not nonzero:
-        return True
-    return len(nonzero) == 1 and next(iter(nonzero)) > 0
+    nonzero = {x for x in _as_row(weights) if x}
+    return not nonzero or (len(nonzero) == 1 and min(nonzero) > 0)
 
 
 def contract(alg: LieAlgebra, weights) -> LieAlgebra:
@@ -486,7 +483,7 @@ def algebra_from_matrices(mats, names=None) -> LieAlgebra:
     the integer matrix M_i = s_i A_i, s_i the lcm of its denominators, so the
     commutators [M_i, M_j] = s_i s_j [A_i, A_j] multiply only ints.
     """
-    mats = [[[x if type(x) is int else as_fraction(x) for x in row] for row in m] for m in mats]
+    mats = [[_as_row(row) for row in m] for m in mats]
     n, names = _shape(len(mats), names)
     if n == 0:
         return LieAlgebra(0, {}, names=[])

@@ -4,7 +4,10 @@ A :class:`LoopSpec` describes an infinite-dimensional algebra intensionally:
 finitely many *basic generators* X_i with nonnegative integer grades g_i, a
 central grading element h of grade s, and base brackets
 
-    {X_i, X_j} = sum_k  c * h**p * X_k        (grade law: g_i + g_j = g_k + s*p).
+    {X_i, X_j} = sum_k  c * h**p * X_k        (grade law: g_i + g_j = g_k + s*p),
+
+stored once, in input order, as integers over one denominator d: the table
+{(i, j): [(k, c * d, p), ...]}, scaled by ``scalars.scale_to_integers``.
 
 The algebra is spanned by the towers {h**n X_i : n >= 0}.  Levels only add
 under the bracket, so every structural check is made once at level 0: the
@@ -13,14 +16,14 @@ levels (0, 0).  The truncation window of an embedding check (the ``window``
 argument, default 8 levels) bounds only its codimension bookkeeping, never
 correctness.
 
-A :class:`TowerSelection` keeps, for each tower, only the levels >= m_i; the
-selected set is a subalgebra iff m_i + m_j + p >= m_k on every base term.
+A :class:`TowerSelection` keeps, for each tower, only the levels >= m_i.
 Factoring the selected algebra by the ideal generated by (h - eps) collapses
-each tower to its minimal-level representative and produces a finite
-:class:`~loopalg.liealg.LieAlgebra` whose constants carry the powers
-eps**(m_i + m_j + p - m_k); those exponents are all nonnegative exactly when
-the selection was closed, which is why closure and contractibility impose
-the same conditions on the m_i.
+each tower to its minimal-level representative and gives a finite
+:class:`~loopalg.liealg.LieAlgebra` with constants c * eps**(m_i + m_j + p - m_k).
+The selected set is a subalgebra exactly when all those exponents are
+nonnegative, so one walk over the table (:func:`_quotient_layers`) is both
+the closure check and the quotient: it files each term under its exponent
+and stops at the first negative one.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from math import lcm
 
 from .liealg import JacobiViolation, LieAlgebra, _bracket_terms, _from_json, _shape, _to_json
-from .scalars import FrozenRecord, InputError, Rejected, add_term, as_fraction, as_int
+from .scalars import (FrozenRecord, InputError, Rejected, add_term, as_fraction, as_int,
+                      scale_to_integers)
 
 DEFAULT_MAX_LEVEL = 8
 _BUNDLED = ("h2", "l1", "l2")
@@ -108,8 +111,7 @@ class LoopSpec:
         for name, grade in zip(self._names, self._grades):
             if grade < 0:
                 raise SpecFormatError(f"generator {name} has negative grade")
-        table: dict[tuple[int, int], list[tuple[int, Fraction, int]]] = {}
-        seen = set()
+        table, seen = {}, set()
         for i, j, k, (coeff, hpow) in _bracket_terms(brackets, n, SpecFormatError):
             hpow, coeff = as_int(hpow, "hpow"), as_fraction(coeff)
             if hpow < 0:
@@ -125,10 +127,10 @@ class LoopSpec:
                     f"{self._grades[i]}+{self._grades[j]} != {self._grades[k]}+{self._s}*{hpow}"
                 )
             table.setdefault((i, j), []).append((k, coeff, hpow))
-        self._brackets = table
+        self._den, nums = scale_to_integers([[c for _, c, _ in row] for row in table.values()])
+        self._brackets = {ij: [(k, num, p) for (k, _, p), num in zip(row, ints)]
+                          for (ij, row), ints in zip(table.items(), nums)}
         self._selection = None if selection is None else TowerSelection(selection)
-        if self._selection is not None and len(self._selection) != n:
-            raise SpecFormatError("selection length does not match generator count")
         self._check_jacobi()
 
     @property
@@ -152,7 +154,8 @@ class LoopSpec:
         return self._selection
 
     def base_brackets(self):
-        return {ij: tuple(terms) for ij, terms in self._brackets.items()}
+        return {ij: tuple([(k, Fraction(num, self._den), p) for k, num, p in terms])
+                for ij, terms in self._brackets.items()}
 
     def grade_of(self, i: int, level: int) -> int:
         if not 0 <= i < len(self._grades):
@@ -188,15 +191,15 @@ class LoopSpec:
                 if i == j:
                     continue
                 (p, q), sign = ((i, j), 1) if i < j else ((j, i), -1)
-                for k, coeff, hp in self._brackets.get((p, q), ()):
-                    add_term(out, (k, ni + nj + hp), sign * ci * cj * coeff)
+                for k, num, hp in self._brackets.get((p, q), ()):
+                    add_term(out, (k, ni + nj + hp), Fraction(sign * ci * cj * num, self._den))
         return out
 
     def _check_jacobi(self):
         # levels only shift under the bracket, exactly as powers of eps
         # multiply, so Jacobi on the level-0 quotient certifies every level
         try:
-            _level0_quotient(self, [0] * self.n_generators).validate()
+            factor_algebra(self, [0] * self.n_generators).validate()
         except JacobiViolation as exc:
             # grades make each generator appear at one level in the residual
             res = {(k, int(q)): c for k, s in exc.residual.items() for q, c in s.terms}
@@ -213,7 +216,7 @@ class LoopSpec:
             "generators": [
                 {"name": n, "grade": g} for n, g in zip(self._names, self._grades)
             ],
-            "brackets": _to_json(self._brackets, "hpow"),
+            "brackets": _to_json(self.base_brackets(), "hpow"),
         }
         if self._selection is not None:
             out["selection"] = list(self._selection)
@@ -253,15 +256,25 @@ def loop_bracket(spec: LoopSpec, x: LoopElement, y: LoopElement) -> LoopElement:
     return spec.element([(i, n, c) for (i, n), c in raw.items()])
 
 
-def check_selection(spec: LoopSpec, selection) -> None:
-    """Raise NotClosed unless m_i + m_j + hpow >= m_k on every base term."""
-    m = TowerSelection(selection)
+def _quotient_layers(spec: LoopSpec, m: TowerSelection) -> dict:
+    """Layers {q: (d, {(i, j, k): c * d})} of the quotient at levels m: each base
+    term c * h**p, in table order, filed under q = m_i + m_j + p - m_k;
+    NotClosed at the first negative q."""
     if len(m) != spec.n_generators:
         raise SpecFormatError("selection length does not match generator count")
-    for (i, j), terms in spec.base_brackets().items():
-        for k, _, hpow in terms:
-            if m[i] + m[j] + hpow < m[k]:
-                raise NotClosed(i, j, k, m[k], m[i] + m[j] + hpow)
+    layers: dict = {}
+    for (i, j), terms in spec._brackets.items():
+        for k, num, p in terms:
+            q = m[i] + m[j] + p - m[k]
+            if q < 0:
+                raise NotClosed(i, j, k, m[k], m[i] + m[j] + p)
+            layers.setdefault(q, (spec._den, {}))[1][i, j, k] = num
+    return layers
+
+
+def check_selection(spec: LoopSpec, selection) -> None:
+    """Raise NotClosed unless m_i + m_j + hpow >= m_k on every base term."""
+    _quotient_layers(spec, TowerSelection(selection))
 
 
 def selection_ok(spec: LoopSpec, selection) -> bool:
@@ -273,29 +286,7 @@ def selection_ok(spec: LoopSpec, selection) -> bool:
 
 
 def _class_name(name: str, level: int) -> str:
-    if level == 0:
-        return name
-    if level == 1:
-        return f"h*{name}"
-    return f"h^{level}*{name}"
-
-
-def _level0_quotient(spec: LoopSpec, m) -> LieAlgebra:
-    """Towers collapsed onto their level-m_i classes, constants
-    coeff * eps**(m_i + m_j + p - m_k), each layer over the lcm den of all
-    base denominators; unchecked, the caller validates.  InputError if two
-    classes get the same name (A at level 1 and a generator named "h*A")."""
-    terms = [(m[i] + m[j] + p - m[k], (i, j, k), c)
-             for (i, j), row in spec._brackets.items() for k, c, p in row]
-    den = lcm(*[c.denominator for _, _, c in terms])
-    layers: dict = {}
-    for q, key, c in terms:
-        layers.setdefault(q, (den, {}))[1][key] = c.numerator * (den // c.denominator)
-    names = [_class_name(n, lvl) for n, lvl in zip(spec.names, m)]
-    if len(set(names)) != len(names):
-        clash = next(name for name in names if names.count(name) > 1)
-        raise InputError(f"levels {list(m)} give two quotient classes the name {clash!r}")
-    return LieAlgebra._from_layers(spec.n_generators, layers, names)
+    return name if level == 0 else f"h*{name}" if level == 1 else f"h^{level}*{name}"
 
 
 def factor_algebra(spec: LoopSpec, selection=None) -> LieAlgebra:
@@ -303,15 +294,19 @@ def factor_algebra(spec: LoopSpec, selection=None) -> LieAlgebra:
 
     Each tower collapses to the class of its minimal-level representative
     h**m_i X_i, and the bracket constants become coeff * eps**(m_i+m_j+p-m_k);
-    the closure precondition makes every exponent nonnegative.  The spec's
+    NotClosed unless the selection makes every exponent nonnegative.  The spec's
     Jacobi check covers every quotient, since level shifts only multiply
     constants by powers of eps.
     """
     if selection is None:
         selection = spec.selection or [0] * spec.n_generators
     m = TowerSelection(selection)
-    check_selection(spec, m)
-    return _level0_quotient(spec, m)
+    layers = _quotient_layers(spec, m)
+    names = [_class_name(n, lvl) for n, lvl in zip(spec.names, m)]
+    if len(set(names)) != len(names):  # A at level 1 and a generator named "h*A"
+        clash = next(name for name in names if names.count(name) > 1)
+        raise InputError(f"levels {list(m)} give two quotient classes the name {clash!r}")
+    return LieAlgebra._from_layers(spec.n_generators, layers, names)
 
 
 class EmbeddingReport(FrozenRecord):

@@ -60,6 +60,16 @@ def as_int(value, what: str) -> int:
     return value
 
 
+def _as_row(values) -> list:
+    """The entries of a row or vector, an int as it is and any other as_fraction.
+    A string would be read one character at a time, so it is a TypeError once
+    its characters are read: one that is no rational stays the InputError naming it."""
+    row = [x if type(x) is int else as_fraction(x) for x in values]
+    if isinstance(values, str):
+        raise TypeError(f"a row or vector must be a list, got the string {values!r}")
+    return row
+
+
 def add_term(acc: dict, key, value) -> None:
     """acc[key] += value in a sparse map: a key whose sum is exactly zero is dropped."""
     total = acc[key] + value if key in acc else value
@@ -267,7 +277,7 @@ def signature(form) -> tuple[int, int, int]:
     denominators (a positive scale, which keeps the inertia; an all-int one
     is eliminated as given) and handed to :func:`_inertia`.
     """
-    m = [[x if type(x) is int else as_fraction(x) for x in row] for row in form]
+    m = [_as_row(row) for row in form]
     n = len(m)
     for row in m:
         if len(row) != n:

@@ -60,6 +60,18 @@ NON_UNIMODULAR = {
 }
 
 
+# h2 in the basis (L/2, 2*A1/3, A2): a rescaling, so Jacobi still holds, and its
+# constants 1/3, -3/4 and (4/3)*h have three different denominators
+H2_RESCALED = {
+    "s": 2,
+    "generators": [{"name": "L", "grade": 0}, {"name": "A1", "grade": 1},
+                   {"name": "A2", "grade": 1}],
+    "brackets": [{"i": 0, "j": 1, "terms": [{"k": 2, "c": "1/3", "hpow": 0}]},
+                 {"i": 0, "j": 2, "terms": [{"k": 1, "c": "-3/4", "hpow": 0}]},
+                 {"i": 1, "j": 2, "terms": [{"k": 0, "c": "4/3", "hpow": 1}]}],
+}
+
+
 def random_invertible(rng: random.Random, n: int):
     """Random invertible rational n x n matrix with small entries."""
     from loopalg.linalg import matrix_rank

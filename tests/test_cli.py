@@ -299,6 +299,7 @@ MALFORMED_FILES = {
                                               {"name": "B", "grade": "x"}]},
     "selection_not_int": {**_SPEC, "selection": ["a"]},
     "selection_not_list": {**_SPEC, "selection": 5},
+    "selection_length": {**_SPEC, "selection": [0, 0, 0]},
     "spec_constant_inf": {**_SPEC, "brackets": [_TERM_INF]},
 }
 
@@ -329,6 +330,9 @@ def test_quotient_refuses_clashing_class_names(tmp_path, capsys, levels, clash):
     assert _rejected(code, out, err) and repr(clash) in err and not out
     with pytest.raises(scalars.InputError):
         loop.factor_algebra(loop.LoopSpec.from_json(_CLASH_SPEC), [int(m) for m in levels.split(",")])
+    # the levels are closed: selection-check names no class, so a clash is not its concern
+    code, out, err = run(capsys, "selection-check", str(path), "--levels", levels)
+    assert code == 0 and not err and out.startswith("OK: levels ")
     # levels that keep the names distinct still quotient
     code, out, err = run(capsys, "quotient", str(path), "--levels", "1,2,0")
     assert code == 0 and not err and "generators: h*A, h^2*h*A, h^2*A" in out

@@ -3,8 +3,9 @@
 Each reference below is the earlier implementation of a kernel:
 Gauss-Jordan elimination over Fraction, congruence diagonalization over
 Fraction, the dense adjoint table behind the structural invariants, the
-basis change that multiplies PuiseuxScalars term by term, and matrix
-commutators multiplied out in Fraction.  The kernels must return exactly what the references return.
+basis change that multiplies PuiseuxScalars term by term, matrix
+commutators multiplied out in Fraction, and the loop quotient built as one
+PuiseuxScalar per base term.  The kernels must return exactly what the references return.
 The layered storage of ``LieAlgebra`` is checked the same way: its round
 trips, substitutions and rescalings against PuiseuxScalar arithmetic on
 each constant, and every operation against the canonical integer form of
@@ -19,11 +20,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CLASSIFIED, NON_UNIMODULAR, random_invertible
+from conftest import CLASSIFIED, H2_RESCALED, NON_UNIMODULAR, random_invertible
 from loopalg import (
     JacobiViolation,
     LieAlgebra,
     LinearlyDependent,
+    LoopSpec,
     NotSymmetric,
     PuiseuxScalar,
     SymbolicAlgebra,
@@ -197,6 +199,16 @@ def ref_algebra_from_matrices(mats, names=None):
         assert not any(row[col] for row in red[n:])
         brackets[(i, j)] = {k: red[k][col] for k in range(n) if red[k][col]}
     return LieAlgebra(n, brackets, names=names)
+
+
+def ref_factor_algebra(spec, m):
+    """The quotient at a closed selection m: each base term c * h**p of
+    base_brackets() as the PuiseuxScalar c * eps**(m_i + m_j + p - m_k)."""
+    table = {}
+    for (i, j), terms in spec.base_brackets().items():
+        for k, c, p in terms:
+            table.setdefault((i, j), {})[k] = PuiseuxScalar.monomial(c, m[i] + m[j] + p - m[k])
+    return LieAlgebra(spec.n_generators, table)
 
 
 # -- inputs ------------------------------------------------------------------------
@@ -615,6 +627,23 @@ def test_invariant_readers_name_themselves_on_symbolic_input(reader):
     family = factor_algebra(bundled_spec("h2"))
     with pytest.raises(SymbolicAlgebra, match=f"^{reader.__name__} requires eps-free"):
         reader(family)
+
+
+# -- loop quotients ---------------------------------------------------------------------
+
+def test_quotient_over_mixed_denominators_matches_the_puiseux_reference():
+    spec = LoopSpec.from_json(H2_RESCALED)
+    assert {ij: [c for _, c, _ in terms] for ij, terms in spec.base_brackets().items()} == {
+        (0, 1): [Fraction(1, 3)], (0, 2): [Fraction(-3, 4)], (1, 2): [Fraction(4, 3)]}
+    closed = 0
+    for m in itertools.product(range(4), repeat=3):
+        ok = selection_ok(spec, m)
+        assert ok == all(m[i] + m[j] + p >= m[k]
+                         for (i, j), terms in spec.base_brackets().items() for k, _, p in terms)
+        if ok:
+            assert factor_algebra(spec, m).same_constants(ref_factor_algebra(spec, m))
+            closed += 1
+    assert closed == 40
 
 
 # -- basis change ---------------------------------------------------------------------

@@ -444,6 +444,25 @@ def test_a_malformed_rational_is_an_input_error_naming_it(call, why, value):
     assert type(err.value) is InputError and str(err.value) == f"{why}: {value}"
 
 
+@pytest.mark.parametrize("call, strings, lists, string", [
+    (lambda alg, x: alg.change_basis(x), ["100", "010", "002"],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 2]], "100"),
+    (lambda alg, x: rescale_basis(alg, x), "123", [1, 2, 3], "123"),
+    (lambda alg, x: contract(alg, x), "011", [0, 1, 1], "011"),
+    (lambda alg, x: is_classic_iw(x), "011", [0, 1, 1], "011"),
+    (lambda alg, x: signature(x), ["10", "01"], [[1, 0], [0, 1]], "10"),
+    (lambda alg, x: algebra_from_matrices(x), [["10", "00"], ["00", "01"]],
+     [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "10"),
+], ids=["change_basis", "rescale_basis", "contract", "is_classic_iw", "signature",
+        "algebra_from_matrices"])
+def test_a_string_row_or_vector_is_a_type_error(call, strings, lists, string):
+    # a string would be read one character at a time: "123" as the weights (1, 2, 3)
+    with pytest.raises(TypeError) as err:
+        call(so3(), strings)
+    assert str(err.value) == f"a row or vector must be a list, got the string {string!r}"
+    call(so3(), lists)
+
+
 def test_a_malformed_rational_in_a_description_stays_a_format_error():
     for c, message in (("x", "not a rational: 'x'"), ("1/0", "zero denominator: '1/0'")):
         data = {"dim": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"k": 0, "c": c, "q": "0"}]}]}

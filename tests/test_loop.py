@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import H2_RESCALED
 from loopalg import (
     CLASS_LABELS,
     InexactPower,
@@ -244,6 +245,25 @@ def test_check_selection_examples(h2):
     check_selection(h2, (0, 0, 0))
 
 
+def test_not_closed_names_the_first_violation_in_input_order():
+    # X3 is central, so Jacobi holds; the file lists (1,2) before (0,1), and
+    # m = (1, 0, 0, 2) breaks both: (1,2)->3 lands at 0 and (0,1)->3 at 1
+    data = {"s": 1, "generators": [{"name": f"X{i}", "grade": 0} for i in range(4)],
+            "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1", "hpow": 0}]},
+                         {"i": 0, "j": 1, "terms": [{"k": 3, "c": "-1/2", "hpow": 0}]}]}
+    spec = LoopSpec.from_json(data)
+    message = "selection not closed on (1,2)->3: need level >= 2, bracket lands at 0"
+    for check in (check_selection, factor_algebra):
+        with pytest.raises(NotClosed) as err:
+            check(spec, (1, 0, 0, 2))
+        assert str(err.value) == message and err.value.triple == (1, 2, 3)
+    assert not selection_ok(spec, (1, 0, 0, 2))
+    # with (1,2) closed, the (0,1) term is the one named
+    with pytest.raises(NotClosed, match=r"^selection not closed on \(0,1\)->3: need level >= 2, "
+                                        r"bracket lands at 1$"):
+        check_selection(spec, (1, 0, 2, 2))
+
+
 def test_selection_wrong_length(h2):
     with pytest.raises(SpecFormatError):
         check_selection(h2, (0, 0))
@@ -457,7 +477,8 @@ def _shipped(name):
      "brackets": [{"i": 0, "j": 1, "terms": [{"k": 2, "c": "1", "hpow": 0},
                                              {"k": 1, "c": "-1/2", "hpow": 0}]}],
      "selection": [0, 1, 1]},
-], ids=["l1", "selection_descending_k"])
+    H2_RESCALED,
+], ids=["l1", "selection_descending_k", "h2_mixed_denominators"])
 def test_spec_json_round_trip(data):
     spec = LoopSpec.from_json(data)
     assert spec.to_json() == data
