@@ -5,17 +5,17 @@ For basis indices i < j,
     [X_i, X_j] = sum_k C_ij^k X_k,    C_ij^k(eps) = sum_q eps**q (C_q)_ij^k,
 
 with the (j, i) bracket implied by antisymmetry.  An algebra stores these
-constants as integer layers, one per exponent q: a denominator d and a
-sparse table {(i, j, k): n} with (C_q)_ij^k = n / d, d > 0 and gcd(d, every
-n) = 1.  That form is unique, so two algebras with the same constants
-compare equal as plain dicts.  Each operation is one pass over the layers:
-eps = 0 keeps the q = 0 layer (a negative q has no limit), another value of
-eps scales each layer by eps**q, a weighted rescaling shifts q, and a basis
-change transforms each layer on its own.  These passes add and multiply
-ints and divide each result layer once by the gcd of its entries; a Fraction
-is built only where a constant is handed out as a rational, and a
-:class:`~loopalg.scalars.PuiseuxScalar` only where it is handed out with its
-powers of eps.  Every direct
+constants as integers over one denominator d > 0: one sparse integer layer
+{(i, j, k): n} per exponent q, with (C_q)_ij^k = n / d and gcd(d, every n of
+every layer) = 1.  That form is unique, so two algebras with the same
+constants compare equal as a plain (d, layers) pair.  Each operation is one
+pass over the layers: eps = 0 keeps the q = 0 layer (a negative q has no
+limit), another value of eps scales each layer by eps**q, a weighted
+rescaling shifts q, and a basis change transforms each layer on its own.
+These passes add and multiply ints and divide the result once by the gcd of
+all its entries; a Fraction is built only where a constant is handed out as a
+rational, and a :class:`~loopalg.scalars.PuiseuxScalar` only where it is
+handed out with its powers of eps.  Every direct
 construction (``from_json`` included) checks the Jacobi identity exactly, so
 every value of this type is a genuine Lie algebra (possibly depending on the
 parameter eps).  Operations whose results are Lie algebras by construction --
@@ -38,8 +38,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import linalg
-from .scalars import (InputError, PuiseuxScalar, Rejected, _as_row, _inertia, add_term,
-                      as_fraction, as_int, eps_power, scale_to_integers)
+from .scalars import (InputError, PuiseuxScalar, Rejected, _as_entry, _as_row, _inertia,
+                      add_term, as_fraction, as_int, eps_power, scale_to_integers)
 
 CLASS_LABELS = ("so3", "so21", "e2", "e11", "heisenberg", "abelian3", "other")
 
@@ -110,19 +110,20 @@ def _shape(dim, names, error=AlgebraFormatError) -> tuple[int, tuple[str, ...]]:
     return dim, tuple(names)
 
 
-def _bracket_terms(brackets, n, error):
-    """(i, j, k, rest) for each term (k, *rest) of a bracket table {(i, j): terms};
-    a mapping {k: coeff} gives the terms (k, coeff).  The indices are exact ints
-    with 0 <= i < j < n and 0 <= k < n."""
-    for (i, j), terms in brackets.items():
-        i, j = as_int(i, "i"), as_int(j, "j")
+def _bracket_terms(brackets, n, width, error):
+    """(i, j, k, *rest) for each term (k, *rest), a ``width``-tuple, of a bracket
+    table {(i, j): terms}; a mapping {k: coeff} gives the terms (k, coeff).  The
+    indices are exact ints with 0 <= i < j < n and 0 <= k < n."""
+    for key, terms in brackets.items():
+        i, j = map(as_int, _as_entry(key, 2, "a bracket key"), "ij")
         if not 0 <= i < j < n:
             raise error(f"bracket key ({i},{j}) must satisfy 0 <= i < j < {n}")
-        for k, *rest in terms.items() if hasattr(terms, "items") else terms:
+        for term in terms.items() if hasattr(terms, "items") else terms:
+            k, *rest = _as_entry(term, width, "a bracket term")
             k = as_int(k, "k")
             if not 0 <= k < n:
                 raise error(f"bracket target {k} out of range")
-            yield i, j, k, rest
+            yield i, j, k, *rest
 
 
 def _from_json(data, exponent, error, what, build):
@@ -156,28 +157,28 @@ def _to_json(table, exponent):
 
 
 class LieAlgebra:
-    """Lie algebra stored as integer layers: ``_layers[q]`` is (d, {(i, j, k): n}),
-    n / d the eps**q coefficient of C_ij^k, with i < j, d > 0, gcd(d, every n) = 1,
-    no zero entry and no empty layer."""
+    """Lie algebra stored as integer layers over one denominator: ``_layers[q]`` is
+    {(i, j, k): n}, n / ``_den`` the eps**q coefficient of C_ij^k, with i < j, ``_den`` > 0,
+    gcd(``_den``, every n) = 1, no zero entry and no empty layer (no constants: (1, {}))."""
 
     def __init__(self, dim, brackets, names=None):
         self._dim, self._names = _shape(dim, names)
         layers: dict = {}
-        for i, j, k, (coeff,) in _bracket_terms(brackets, self._dim, AlgebraFormatError):
+        for i, j, k, coeff in _bracket_terms(brackets, self._dim, 2, AlgebraFormatError):
             qc = coeff.terms if isinstance(coeff, PuiseuxScalar) else [(0, as_fraction(coeff))]
             for q, c in qc:
                 add_term(layers.setdefault(q, {}), (i, j, k), c)
-        self._layers = _canonical({q: _rational_layer(layer) for q, layer in layers.items()})
+        self._den, self._layers = _canonical(*_scale_table(layers))
         self.validate()
 
     @classmethod
-    def _from_layers(cls, dim, layers, names) -> "LieAlgebra":
-        """An algebra from layers {q: (d, {(i, j, k): n})} (ints, d > 0, no n
+    def _from_layers(cls, dim, den, layers, names) -> "LieAlgebra":
+        """An algebra from layers {q: {(i, j, k): n}} of ints over den > 0 (no n
         zero) that are Lie by construction; the names are taken as given (the
         caller's are already checked)."""
         alg = cls.__new__(cls)
         alg._dim, alg._names = dim, tuple(names)
-        alg._layers = _canonical(layers)
+        alg._den, alg._layers = _canonical(den, layers)
         return alg
 
     @property
@@ -191,9 +192,9 @@ class LieAlgebra:
     def _rows(self) -> dict:
         """{(i, j): {k: [(q, c), ...]}} with pairs, targets and exponents sorted."""
         rows: dict[tuple[int, int], dict] = {}
-        for q, (d, layer) in sorted(self._layers.items()):
+        for q, layer in sorted(self._layers.items()):
             for (i, j, k), c in layer.items():
-                rows.setdefault((i, j), {}).setdefault(k, []).append((q, Fraction(c, d)))
+                rows.setdefault((i, j), {}).setdefault(k, []).append((q, Fraction(c, self._den)))
         return {ij: dict(sorted(rows[ij].items())) for ij in sorted(rows)}
 
     def brackets(self):
@@ -208,14 +209,13 @@ class LieAlgebra:
                 for k, qc in self._rows().get((a, b), {}).items()}
 
     def validate(self):
-        """Check the Jacobi identity exactly on all basis triples, in ints over
-        the lcm of the layer denominators."""
-        # adj[a, b] lists the terms (e, q, c) of [X_a, X_b] = sum c / den eps**q X_e
-        den, terms = _over_lcm(self._layers)
+        """Check the Jacobi identity exactly on all basis triples, in ints over ``_den``."""
+        # adj[a, b] lists the terms (e, q, c) of [X_a, X_b] = sum c / _den eps**q X_e
         adj: dict[tuple[int, int], list] = {}
-        for q, (i, j, k), c in terms:
-            adj.setdefault((i, j), []).append((k, q, c))
-            adj.setdefault((j, i), []).append((k, q, -c))
+        for q, layer in self._layers.items():
+            for (i, j, k), c in layer.items():
+                adj.setdefault((i, j), []).append((k, q, c))
+                adj.setdefault((j, i), []).append((k, q, -c))
         for i in range(self._dim):
             for j in range(i + 1, self._dim):
                 for k in range(j + 1, self._dim):
@@ -224,7 +224,8 @@ class LieAlgebra:
                         for d, q1, c1 in adj.get((b, c), ()):
                             for e, q2, c2 in adj.get((a, d), ()):
                                 add_term(res.setdefault(e, {}), q1 + q2, c1 * c2)
-                    residual = {e: PuiseuxScalar([(q, Fraction(r, den * den)) for q, r in qc.items()])
+                    residual = {e: PuiseuxScalar([(q, Fraction(r, self._den ** 2))
+                                                  for q, r in qc.items()])
                                 for e, qc in res.items() if qc}
                     if residual:
                         raise JacobiViolation(i, j, k, residual)
@@ -236,29 +237,29 @@ class LieAlgebra:
 
     def constants_fraction(self) -> dict[tuple[int, int, int], Fraction]:
         """Structure constants as plain rationals; requires an eps-free algebra."""
-        d, layer = _eps_free(self, "constants_fraction")
-        return {key: Fraction(c, d) for key, c in layer.items()}
+        layer = _eps_free(self, "constants_fraction")
+        return {key: Fraction(c, self._den) for key, c in layer.items()}
 
     def same_constants(self, other: "LieAlgebra") -> bool:
-        return self._dim == other._dim and self._layers == other._layers
+        return (self._dim, self._den, self._layers) == (other._dim, other._den, other._layers)
 
     def evaluate_at(self, eps) -> "LieAlgebra":
         """Substitute an exact rational value for eps (eps = 0 takes the limit)."""
         eps = as_fraction(eps)
         powers = []
-        for q, (d, layer) in self._layers.items():
+        for q, layer in self._layers.items():
             # only eps = 0 with q < 0 diverges, and eps_power names that layer by its first term
-            first = Fraction(next(iter(layer.values())), d) if q < 0 and not eps else None
-            powers.append((eps_power(eps, q, first), d, layer))
-        # every term over one common denominator: den(eps**q) * den(layer)
-        den = lcm(*[p.denominator * d for p, d, _ in powers if p])
+            first = Fraction(next(iter(layer.values())), self._den) if q < 0 and not eps else None
+            powers.append((eps_power(eps, q, first), layer))
+        # every term over one common denominator: lcm(den(eps**q)) * den
+        den = lcm(*[p.denominator for p, _ in powers if p])
         out: dict[tuple[int, int, int], int] = {}
-        for p, d, layer in powers:
+        for p, layer in powers:
             if p:
-                f = p.numerator * (den // (p.denominator * d))
+                f = p.numerator * (den // p.denominator)
                 for key, c in layer.items():
                     add_term(out, key, f * c)
-        return LieAlgebra._from_layers(self._dim, {0: (den, out)}, self._names)
+        return LieAlgebra._from_layers(self._dim, den * self._den, {0: out}, self._names)
 
     def change_basis(self, t_rows) -> "LieAlgebra":
         """Rewrite the algebra in the basis Y_a = sum_j T[a][j] X_j (T invertible).
@@ -267,20 +268,20 @@ class LieAlgebra:
         matrix dt * T and inverted as M / dinv.  The last T's preparation is
         kept, so a run of basis changes by one T (an algebra, then each of its
         specialisations) scales and inverts it once.  The inner loops run in
-        int arithmetic over the stored layers; each new layer is its int sum
-        over dt * dinv * den(layer).
+        int arithmetic over the stored layers, and the new constants are their
+        int sums over dt * dinv * den.
         """
         t = tuple([tuple(_as_row(row)) for row in t_rows])
         if len(t) != self._dim or any(len(r) != self._dim for r in t):
             raise WrongDimension("change-of-basis matrix must be dim x dim")
         scale, t, tinv = _prepared_basis(t)
         # linear in the constants: each layer transforms on its own
-        pairs = {(i, j) for _, layer in self._layers.values() for i, j, _ in layer}
+        pairs = {(i, j) for layer in self._layers.values() for i, j, _ in layer}
         acc: dict = {q: {} for q in self._layers}
         for a in range(self._dim):
             for b in range(a + 1, self._dim):
                 w = {(i, j): t[a][i] * t[b][j] - t[a][j] * t[b][i] for i, j in pairs}
-                for q, (_, layer) in self._layers.items():
+                for q, layer in self._layers.items():
                     vec: dict[int, int] = {}
                     for (i, j, k), c in layer.items():
                         if w[i, j]:
@@ -290,8 +291,7 @@ class LieAlgebra:
                         for l in range(self._dim):
                             if tinv[k][l]:
                                 add_term(out, (a, b, l), tinv[k][l] * c)
-        layers = {q: (scale * d, acc[q]) for q, (d, _) in self._layers.items()}
-        return LieAlgebra._from_layers(self._dim, layers, self._names)
+        return LieAlgebra._from_layers(self._dim, scale * self._den, acc, self._names)
 
     def to_json(self) -> dict:
         table = {ij: [(k, c, str(q)) for k, qc in row.items() for q, c in qc]
@@ -305,7 +305,7 @@ class LieAlgebra:
                           for ij, terms in table.items()}, names=data.get("names")))
 
     def __repr__(self):
-        nz = len({key for _, layer in self._layers.values() for key in layer})
+        nz = len({key for layer in self._layers.values() for key in layer})
         return f"LieAlgebra(dim={self._dim}, names={list(self._names)}, nonzero_terms={nz})"
 
 
@@ -322,11 +322,11 @@ def _prepared_basis(t) -> tuple[int, tuple, tuple]:
     return dt * dinv, tuple(map(tuple, ints)), tuple(map(tuple, tinv))
 
 
-def _eps_free(alg: LieAlgebra, op: str) -> tuple[int, dict]:
-    """The q = 0 layer (d, {(i, j, k): n}) of an eps-free algebra; SymbolicAlgebra otherwise."""
+def _eps_free(alg: LieAlgebra, op: str) -> dict:
+    """The q = 0 layer {(i, j, k): n} of an eps-free algebra; SymbolicAlgebra otherwise."""
     if alg.is_symbolic:
         raise SymbolicAlgebra(f"{op} requires eps-free structure constants")
-    return alg._layers.get(0, (1, {}))
+    return alg._layers.get(0, {})
 
 
 def _check_weights(alg: LieAlgebra, weights) -> tuple[Fraction, ...]:
@@ -336,36 +336,26 @@ def _check_weights(alg: LieAlgebra, weights) -> tuple[Fraction, ...]:
     return w
 
 
-def _primitive(den, ints) -> tuple[int, dict]:
-    """The stored form of the layer {key: n / den}, den > 0: (d, {key: m})
-    with gcd(d, every m) = 1, by one gcd over the layer."""
-    g = gcd(den, *ints.values())
-    return (den, ints) if g == 1 else (den // g, {key: n // g for key, n in ints.items()})
+def _canonical(den, layers) -> tuple[int, dict]:
+    """The stored form (d, {q: {key: m}}) of the layers {q: {key: n}} over den > 0: one
+    gcd over all layers, empty ones dropped (none left gives d = 1)."""
+    layers = {q: ints for q, ints in layers.items() if ints}
+    g = gcd(den, *[n for ints in layers.values() for n in ints.values()])
+    return (den, layers) if g == 1 else (
+        den // g, {q: {key: n // g for key, n in ints.items()} for q, ints in layers.items()})
 
 
-def _canonical(layers) -> dict:
-    """{q: _primitive(d, ints)} over the nonempty layers {q: (d, ints)}."""
-    return {q: _primitive(d, ints) for q, (d, ints) in layers.items() if ints}
-
-
-def _rational_layer(layer) -> tuple[int, dict]:
-    """(d, {key: d * c}) for a layer {key: c} of rationals, d the lcm of its denominators."""
-    d, (row,) = scale_to_integers([layer.values()])
-    return d, dict(zip(layer, row))
-
-
-def _over_lcm(layers) -> tuple[int, list]:
-    """(den, [(q, key, n), ...]): every constant of the layers as n / den, den
-    the lcm of the layer denominators."""
-    den = lcm(*[d for d, _ in layers.values()])
-    return den, [(q, key, c * (den // d)) for q, (d, layer) in layers.items()
-                 for key, c in layer.items()]
+def _scale_table(table) -> tuple[int, dict]:
+    """(d, {a: {b: d * c}}) for a table {a: {b: c}} of rationals, d the lcm of all
+    its denominators (:func:`~loopalg.scalars.scale_to_integers`), order kept."""
+    d, rows = scale_to_integers([row.values() for row in table.values()])
+    return d, {a: dict(zip(row, ints)) for (a, row), ints in zip(table.items(), rows)}
 
 
 def derived_subalgebra_dim(alg: LieAlgebra) -> int:
     """Dimension of the span of all brackets [X_i, X_j] (exact rank)."""
     rows: dict[tuple[int, int], list] = {}
-    for (i, j, k), c in _eps_free(alg, "derived_subalgebra_dim")[1].items():
+    for (i, j, k), c in _eps_free(alg, "derived_subalgebra_dim").items():
         rows.setdefault((i, j), [0] * alg.dim)[k] = c
     return linalg.matrix_rank(list(rows.values()))
 
@@ -374,7 +364,7 @@ def center_dim(alg: LieAlgebra) -> int:
     """Dimension of {x : [x, y] = 0 for all y} (exact nullity)."""
     # row (b, k) holds C_ab^k over a; only the nonzero rows are built
     rows: dict[tuple[int, int], list] = {}
-    for (i, j, k), c in _eps_free(alg, "center_dim")[1].items():
+    for (i, j, k), c in _eps_free(alg, "center_dim").items():
         rows.setdefault((j, k), [0] * alg.dim)[i] = c
         rows.setdefault((i, k), [0] * alg.dim)[j] = -c
     return alg.dim - linalg.matrix_rank(list(rows.values()))
@@ -384,9 +374,9 @@ def killing_form(alg: LieAlgebra):
     """B(X_a, X_b) = trace(ad_a . ad_b) as an exact rational matrix.
 
     ad[a] = {(e, d): f * C_ad^e} holds the nonzero entries of ad X_a for the
-    layer denominator f, so each entry is an int sum divided by f**2."""
-    n = alg.dim
-    f, layer = _eps_free(alg, "killing_form")
+    algebra's denominator f, so each entry is an int sum divided by f**2."""
+    n, f = alg.dim, alg._den
+    layer = _eps_free(alg, "killing_form")
     ad: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
     for (i, j, k), c in layer.items():
         ad[i][k, j] = c
@@ -414,14 +404,15 @@ def classify3(alg: LieAlgebra) -> str:
     det(T) * T**-T M T**-1, so the inertia of a symmetric M up to an overall
     sign is a basis invariant, and it names the Bianchi class A type: so3
     (IX), so21 (VIII), e2 (VII_0), e11 (VI_0), heisenberg (II) and abelian3
-    (I).  M is read from the stored integer layer, the constants times its
-    positive denominator, which keeps the inertia, and goes straight to the
-    integer-inertia kernel behind :func:`~loopalg.scalars.signature`.
+    (I).  M is read from the stored integer layer, the constants times the
+    algebra's one positive denominator, which keeps the inertia, and goes
+    straight to the integer-inertia kernel behind
+    :func:`~loopalg.scalars.signature`.
     """
     if alg.dim != 3:
         raise WrongDimension(f"classify3 needs dimension 3, got {alg.dim}")
     m = [[0] * 3 for _ in range(3)]
-    for (i, j, k), c in _eps_free(alg, "classify3")[1].items():
+    for (i, j, k), c in _eps_free(alg, "classify3").items():
         # (i, j) = (0, 1), (1, 2) are cyclic; (0, 2) is [X_2, X_0] with its sign flipped
         m[3 - i - j][k] = c if j - i == 1 else -c
     if m[0][1] != m[1][0] or m[0][2] != m[2][0] or m[1][2] != m[2][1]:
@@ -442,7 +433,7 @@ def contract(alg: LieAlgebra, weights) -> LieAlgebra:
     Requires n_i + n_j >= n_k on every nonzero constant; the contracted
     constants keep C_ij^k where n_i + n_j = n_k and drop the rest.
     """
-    d, layer = _eps_free(alg, "contract")
+    layer = _eps_free(alg, "contract")
     w = _check_weights(alg, weights)
     violations = []
     kept = {}
@@ -454,7 +445,7 @@ def contract(alg: LieAlgebra, weights) -> LieAlgebra:
             kept[i, j, k] = c
     if violations:
         raise ContractionUndefined(violations)
-    return LieAlgebra._from_layers(alg.dim, {0: (d, kept)}, alg.names)
+    return LieAlgebra._from_layers(alg.dim, alg._den, {0: kept}, alg.names)
 
 
 def rescale_basis(alg: LieAlgebra, weights) -> LieAlgebra:
@@ -466,12 +457,11 @@ def rescale_basis(alg: LieAlgebra, weights) -> LieAlgebra:
     limit of rescale_basis(alg, -w), entrywise, whenever it exists.
     """
     w = _check_weights(alg, weights)
-    # layers of different denominators may land on one exponent
-    den, terms = _over_lcm(alg._layers)
     layers: dict = {}
-    for q, (i, j, k), c in terms:
-        layers.setdefault(q + w[k] - w[i] - w[j], (den, {}))[1][i, j, k] = c
-    return LieAlgebra._from_layers(alg.dim, layers, alg.names)
+    for q, layer in alg._layers.items():
+        for (i, j, k), c in layer.items():
+            layers.setdefault(q + w[k] - w[i] - w[j], {})[i, j, k] = c
+    return LieAlgebra._from_layers(alg.dim, alg._den, layers, alg.names)
 
 
 def algebra_from_matrices(mats, names=None) -> LieAlgebra:
@@ -510,4 +500,4 @@ def algebra_from_matrices(mats, names=None) -> LieAlgebra:
         # [M_i, M_j] = sum_k c_k M_k gives [A_i, A_j] = sum_k c_k s_k / (s_i s_j) A_k
         layer.update(((i, j, k), red[k][col] * Fraction(scale[k], scale[i] * scale[j]))
                      for k in range(n) if red[k][col])
-    return LieAlgebra._from_layers(n, {0: _rational_layer(layer)}, names)
+    return LieAlgebra._from_layers(n, *_scale_table({0: layer}), names)

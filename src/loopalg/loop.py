@@ -7,7 +7,7 @@ central grading element h of grade s, and base brackets
     {X_i, X_j} = sum_k  c * h**p * X_k        (grade law: g_i + g_j = g_k + s*p),
 
 stored once, in input order, as integers over one denominator d: the table
-{(i, j): [(k, c * d, p), ...]}, scaled by ``scalars.scale_to_integers``.
+{(i, j): {(k, p): c * d}}, scaled by ``liealg._scale_table``.
 
 The algebra is spanned by the towers {h**n X_i : n >= 0}.  Levels only add
 under the bracket, so every structural check is made once at level 0: the
@@ -32,9 +32,9 @@ import json
 import os
 from fractions import Fraction
 
-from .liealg import JacobiViolation, LieAlgebra, _bracket_terms, _from_json, _shape, _to_json
-from .scalars import (FrozenRecord, InputError, Rejected, add_term, as_fraction, as_int,
-                      scale_to_integers)
+from .liealg import (JacobiViolation, LieAlgebra, _bracket_terms, _from_json, _scale_table,
+                     _shape, _to_json)
+from .scalars import FrozenRecord, InputError, Rejected, _as_entry, add_term, as_fraction, as_int
 
 DEFAULT_MAX_LEVEL = 8
 _BUNDLED = ("h2", "l1", "l2")
@@ -80,7 +80,7 @@ class LoopElement(FrozenRecord):
     @staticmethod
     def _normalize(pairs) -> "LoopElement":
         acc: dict[tuple[int, int], Fraction] = {}
-        for i, n, c in pairs:
+        for i, n, c in [_as_entry(term, 3, "an element term") for term in pairs]:
             key = (as_int(i, "generator index"), as_int(n, "level"))
             if key[1] < 0:
                 raise InputError("negative levels are not part of the positive loop algebra")
@@ -105,14 +105,14 @@ class LoopSpec:
         self._s = as_int(s, "s")
         if self._s < 1:
             raise SpecFormatError("grade of h must be a positive integer")
-        generators = list(generators)
+        generators = [_as_entry(g, 2, "a generator") for g in generators]
         n, self._names = _shape(len(generators), [name for name, _ in generators], SpecFormatError)
         self._grades = tuple(as_int(grade, "grade") for _, grade in generators)
         for name, grade in zip(self._names, self._grades):
             if grade < 0:
                 raise SpecFormatError(f"generator {name} has negative grade")
         table, seen = {}, set()
-        for i, j, k, (coeff, hpow) in _bracket_terms(brackets, n, SpecFormatError):
+        for i, j, k, coeff, hpow in _bracket_terms(brackets, n, 3, SpecFormatError):
             hpow, coeff = as_int(hpow, "hpow"), as_fraction(coeff)
             if hpow < 0:
                 raise SpecFormatError("h-powers must be nonnegative")
@@ -126,10 +126,8 @@ class LoopSpec:
                     f"grade law violated on ({i},{j})->{k}: "
                     f"{self._grades[i]}+{self._grades[j]} != {self._grades[k]}+{self._s}*{hpow}"
                 )
-            table.setdefault((i, j), []).append((k, coeff, hpow))
-        self._den, nums = scale_to_integers([[c for _, c, _ in row] for row in table.values()])
-        self._brackets = {ij: [(k, num, p) for (k, _, p), num in zip(row, ints)]
-                          for (ij, row), ints in zip(table.items(), nums)}
+            table.setdefault((i, j), {})[k, hpow] = coeff
+        self._den, self._brackets = _scale_table(table)
         self._selection = None if selection is None else TowerSelection(selection)
         self._check_jacobi()
 
@@ -154,7 +152,7 @@ class LoopSpec:
         return self._selection
 
     def base_brackets(self):
-        return {ij: tuple([(k, Fraction(num, self._den), p) for k, num, p in terms])
+        return {ij: tuple([(k, Fraction(num, self._den), p) for (k, p), num in terms.items()])
                 for ij, terms in self._brackets.items()}
 
     def grade_of(self, i: int, level: int) -> int:
@@ -191,7 +189,7 @@ class LoopSpec:
                 if i == j:
                     continue
                 (p, q), sign = ((i, j), 1) if i < j else ((j, i), -1)
-                for k, num, hp in self._brackets.get((p, q), ()):
+                for (k, hp), num in self._brackets.get((p, q), {}).items():
                     add_term(out, (k, ni + nj + hp), Fraction(sign * ci * cj * num, self._den))
         return out
 
@@ -257,18 +255,18 @@ def loop_bracket(spec: LoopSpec, x: LoopElement, y: LoopElement) -> LoopElement:
 
 
 def _quotient_layers(spec: LoopSpec, m: TowerSelection) -> dict:
-    """Layers {q: (d, {(i, j, k): c * d})} of the quotient at levels m: each base
-    term c * h**p, in table order, filed under q = m_i + m_j + p - m_k;
-    NotClosed at the first negative q."""
+    """Layers {q: {(i, j, k): c * d}} of the quotient at levels m, over the spec's
+    denominator d: each base term c * h**p, in table order, filed under
+    q = m_i + m_j + p - m_k; NotClosed at the first negative q."""
     if len(m) != spec.n_generators:
         raise SpecFormatError("selection length does not match generator count")
     layers: dict = {}
     for (i, j), terms in spec._brackets.items():
-        for k, num, p in terms:
+        for (k, p), num in terms.items():
             q = m[i] + m[j] + p - m[k]
             if q < 0:
                 raise NotClosed(i, j, k, m[k], m[i] + m[j] + p)
-            layers.setdefault(q, (spec._den, {}))[1][i, j, k] = num
+            layers.setdefault(q, {})[i, j, k] = num
     return layers
 
 
@@ -306,7 +304,7 @@ def factor_algebra(spec: LoopSpec, selection=None) -> LieAlgebra:
     if len(set(names)) != len(names):  # A at level 1 and a generator named "h*A"
         clash = next(name for name in names if names.count(name) > 1)
         raise InputError(f"levels {list(m)} give two quotient classes the name {clash!r}")
-    return LieAlgebra._from_layers(spec.n_generators, layers, names)
+    return LieAlgebra._from_layers(spec.n_generators, spec._den, layers, names)
 
 
 class EmbeddingReport(FrozenRecord):
@@ -336,7 +334,8 @@ def embedding_check(sub: LoopSpec, host: LoopSpec, gen_map, window=DEFAULT_MAX_L
     """
     if sub.s != host.s:
         raise GradeMismatch(f"h grades differ: {sub.s} != {host.s}")
-    gen_map = [(as_int(t, "host index"), as_int(o, "level offset")) for t, o in gen_map]
+    gen_map = [(as_int(t, "host index"), as_int(o, "level offset"))
+               for t, o in [_as_entry(e, 2, "a generator map entry") for e in gen_map]]
     window = as_int(window, "window")
     if window < 0:
         raise InputError(f"window must be nonnegative, got {window}")

@@ -70,6 +70,14 @@ def _as_row(values) -> list:
     return row
 
 
+def _as_entry(entry, width: int, what: str):
+    """An entry of a list, such as a (generator, level, coeff) term, checked to be a tuple
+    or list of ``width`` values before it is unpacked: a TypeError naming it otherwise."""
+    if isinstance(entry, (tuple, list)) and len(entry) == width:
+        return entry
+    raise TypeError(f"{what} must be a {width}-tuple, got {entry!r}")
+
+
 def add_term(acc: dict, key, value) -> None:
     """acc[key] += value in a sparse map: a key whose sum is exactly zero is dropped."""
     total = acc[key] + value if key in acc else value
@@ -201,10 +209,6 @@ class PuiseuxScalar(FrozenRecord):
         for q, c in terms or ():
             add_term(merged, as_fraction(q), as_fraction(c))
         super().__init__(tuple(sorted(merged.items())))
-
-    @classmethod
-    def constant(cls, c: Fraction | int | str) -> "PuiseuxScalar":
-        return cls.monomial(c, 0)
 
     @classmethod
     def monomial(cls, c: Fraction | int | str, q: Fraction | int | str) -> "PuiseuxScalar":

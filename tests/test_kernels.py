@@ -814,12 +814,13 @@ def test_inverse_basis_change_cancels_back_to_the_quotient():
 # -- integer layers -----------------------------------------------------------------
 
 def assert_canonical(alg):
-    """Every layer is (d, {(i, j, k): n}): ints, d > 0, gcd(d, every n) = 1, no zero, none empty."""
-    for q, (d, layer) in alg._layers.items():
-        assert type(d) is int and d > 0
+    """Layers {q: {(i, j, k): n}} over one int _den > 0: gcd(_den, every n of every
+    layer) = 1, no zero, none empty."""
+    assert type(alg._den) is int and alg._den > 0
+    for layer in alg._layers.values():
         assert layer and all(type(n) is int and n for n in layer.values())
-        assert math.gcd(d, *layer.values()) == 1
         assert all(0 <= i < j < alg.dim and 0 <= k < alg.dim for i, j, k in layer)
+    assert math.gcd(alg._den, *[n for layer in alg._layers.values() for n in layer.values()]) == 1
 
 
 def test_every_constructor_and_operation_stores_canonical_integer_layers():
@@ -847,16 +848,17 @@ def test_every_constructor_and_operation_stores_canonical_integer_layers():
 def test_two_routes_to_one_contraction_store_the_same_layers():
     # Y = (X0, X1 / 2, X2 / 3) of so3: [Y0, Y1] = 3/2 Y2, [Y1, Y2] = 1/6 Y0,
     # [Y0, Y2] = -2/3 Y1, one layer over 6; w keeps only [Y0, Y1], which
-    # contract reduces from 9/6 and rescale_basis splits off the q = 2 layer
+    # contract reduces from 9/6 to 3/2, and rescale_basis moves the other two
+    # to a q = 2 layer over the same denominator 6
     alg = CLASSIFIED["so3"]().change_basis([[1, 0, 0], [0, Fraction(1, 2), 0],
                                             [0, 0, Fraction(1, 3)]])
     w = (1, 1, 2)
     family = rescale_basis(alg, [-x for x in w])
-    assert alg._layers == {0: (6, {(0, 1, 2): 9, (0, 2, 1): -4, (1, 2, 0): 1})}
-    assert family._layers == {0: (2, {(0, 1, 2): 3}), 2: (6, {(0, 2, 1): -4, (1, 2, 0): 1})}
+    assert (alg._den, alg._layers) == (6, {0: {(0, 1, 2): 9, (0, 2, 1): -4, (1, 2, 0): 1}})
+    assert (family._den, family._layers) == (6, {0: {(0, 1, 2): 9}, 2: {(0, 2, 1): -4, (1, 2, 0): 1}})
     contracted = contract(alg, w)
     assert contracted.same_constants(family.evaluate_at(0))
-    assert contracted._layers == {0: (2, {(0, 1, 2): 3})}
+    assert (contracted._den, contracted._layers) == (2, {0: {(0, 1, 2): 3}})
     assert classify3(contracted) == "heisenberg"
     for _, changed, _ in _changed_quotients():
         alg = changed.evaluate_at(Fraction(1, 3))

@@ -359,9 +359,9 @@ def test_rotation_boost_algebra():
     boosts = [_madd(_e(i, 3), _e(3, i)) for i in range(3)]
     alg = algebra_from_matrices(rots + boosts)
     # boosts close on the rotations with a minus sign: [B1,B2] = -J3
-    assert alg.bracket_on_basis(3, 4) == {2: P.constant(-1)}
-    assert alg.bracket_on_basis(0, 1) == {2: P.constant(1)}
-    assert alg.bracket_on_basis(0, 4) == {5: P.constant(1)}  # [J1,B2]=B3
+    assert alg.bracket_on_basis(3, 4) == {2: P.monomial(-1, 0)}
+    assert alg.bracket_on_basis(0, 1) == {2: P.monomial(1, 0)}
+    assert alg.bracket_on_basis(0, 4) == {5: P.monomial(1, 0)}  # [J1,B2]=B3
     assert contract(alg, (0,) * 6).same_constants(alg)
     with pytest.raises(ContractionUndefined):
         contract(alg, (1, 0, 0, 0, 0, 0))  # [J2,J3]=J1 needs w2+w3 >= w1

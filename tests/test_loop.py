@@ -287,15 +287,15 @@ def test_closure_iff_nonnegative_exponents(h2):
 def test_factor_constants_h2(h2):
     alg = factor_algebra(h2)
     assert alg.names == ("L", "A1", "A2")
-    assert alg.bracket_on_basis(0, 1) == {2: P.constant(1)}
-    assert alg.bracket_on_basis(2, 0) == {1: P.constant(1)}
+    assert alg.bracket_on_basis(0, 1) == {2: P.monomial(1, 0)}
+    assert alg.bracket_on_basis(2, 0) == {1: P.monomial(1, 0)}
     assert alg.bracket_on_basis(1, 2) == {0: P.monomial(1, 1)}
 
 
 def test_factor_constants_l1(l1):
     alg = factor_algebra(l1)
     assert alg.bracket_on_basis(1, 2) == {0: P.monomial(1, 2)}  # {S,N1}=eps^2 M2
-    assert alg.bracket_on_basis(0, 1) == {2: P.constant(1)}           # {M2,S}=N1
+    assert alg.bracket_on_basis(0, 1) == {2: P.monomial(1, 0)}           # {M2,S}=N1
     assert alg.bracket_on_basis(2, 0) == {1: P.monomial(1, 1)}  # {N1,M2}=eps S
 
 
@@ -340,6 +340,27 @@ def test_l2_is_l1_with_m2_tower_raised(l1, l2):
             assert {perm[k]: s for k, s in got.items()} == want
 
 
+@pytest.mark.parametrize("name", ["h2", "l1", "l2", "h2_rescaled"])
+def test_a_quotient_is_the_rescaled_level0_quotient(name):
+    # levels m shift each constant by eps**(m_i + m_j - m_k), as rescale_basis
+    # by -m does; the selection is closed exactly when that family has a limit
+    spec = LoopSpec.from_json(H2_RESCALED) if name == "h2_rescaled" else bundled_spec(name)
+    base = factor_algebra(spec, [0, 0, 0])
+    closed = 0
+    for m in itertools.product(range(4), repeat=3):
+        family = rescale_basis(base, [-x for x in m])
+        try:
+            alg = factor_algebra(spec, m)
+        except NotClosed:
+            with pytest.raises(NegativeExponent):
+                family.evaluate_at(0)
+            continue
+        assert alg.same_constants(family)
+        family.evaluate_at(0)
+        closed += 1
+    assert 0 < closed < 64
+
+
 def test_factor_matches_rescaled_sign_branch(l1):
     # quotient constants coincide with the rescaled eps-free branch at
     # weights given by half the grades
@@ -374,7 +395,7 @@ def test_evaluate_at_exactness_errors():
         (Fraction(-1, 2), 0, 0),
     )
     out = fam.evaluate_at(4)  # eps^(1/2) -> 2 exactly
-    assert out.bracket_on_basis(0, 1) == {2: P.constant(2)}
+    assert out.bracket_on_basis(0, 1) == {2: P.monomial(2, 0)}
     with pytest.raises(InexactPower):
         fam.evaluate_at(2)
     neg = rescale_basis(LieAlgebra(3, {(0, 1): {2: 1}}), (1, 0, 0))
@@ -437,6 +458,23 @@ def test_embedding_bracket_mismatch(h2):
 def test_embedding_map_entries_must_be_integers(h2, l1, gen_map):
     with pytest.raises(TypeError, match="must be an integer"):
         embedding_check(l1, h2, gen_map)
+
+
+@pytest.mark.parametrize("call, entry", [
+    (lambda h2: embedding_check(h2, h2, "abc"), "a"),
+    (lambda h2: embedding_check(h2, h2, [(0, 0, 1), (1, 0), (2, 0)]), (0, 0, 1)),
+    (lambda h2: h2.element([(0, 0)]), (0, 0)),
+    (lambda h2: LoopSpec(2, [("A", 0, 1)], {}), ("A", 0, 1)),
+    (lambda h2: LieAlgebra(3, {(0, 1): [(2, 1, 5)]}), (2, 1, 5)),
+    (lambda h2: LieAlgebra(3, {(0, 1, 2): {2: 1}}), (0, 1, 2)),
+    (lambda h2: LoopSpec(2, [("A", 0), ("B", 0)], {(0, 1): [(0, 1)]}), (0, 1)),
+], ids=["gen_map_string", "gen_map_triple", "element_pair", "generator_triple",
+        "algebra_term_triple", "algebra_key_triple", "spec_term_pair"])
+def test_an_entry_of_the_wrong_length_is_a_type_error_naming_it(h2, call, entry):
+    # unpacking such an entry used to end in a bare ValueError
+    with pytest.raises(TypeError) as err:
+        call(h2)
+    assert str(err.value).endswith(f", got {entry!r}")
 
 
 def test_embedding_reports_per_window(h2, l1, l2):
