@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import linalg, loop
 from .liealg import LieAlgebra, algebra_from_matrices, classify3, contract, is_classic_iw
 from .loop import LoopSpec, bundled_spec, check_selection, factor_algebra
-from .scalars import InputError, Rejected
+from .scalars import InputError, Rejected, as_fraction
 
 OK, FAIL_VALIDATION, FAIL_NUMERIC, USAGE = 0, 1, 2, 64
 
@@ -73,10 +73,10 @@ def _load_algebra(path) -> LieAlgebra:
 
 
 def _parse_list(text, what, kind):
-    """The comma-separated values of an option, each read by kind (int or Fraction)."""
+    """The comma-separated values of an option, each read by kind (int or as_fraction)."""
     try:
         return [kind(part.strip()) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
@@ -84,7 +84,7 @@ def _at_eps(alg: LieAlgebra, text) -> LieAlgebra:
     """alg with the --eps value substituted, or alg itself without --eps."""
     if text is None:
         return alg
-    values = _parse_list(text, "eps", Fraction)
+    values = _parse_list(text, "eps", as_fraction)
     if len(values) != 1:
         raise InputError(f"--eps takes one rational, got {text!r}")
     return alg.evaluate_at(values[0])
@@ -151,7 +151,7 @@ def _cmd_classify(args):
 
 def _cmd_contract(args):
     alg = _load_algebra(args.file)
-    weights = _parse_list(args.weights, "weights", Fraction)
+    weights = _parse_list(args.weights, "weights", as_fraction)
     out = contract(alg, weights)
     human = _algebra_lines(out) + f"\nclassic Inonu-Wigner weights: {is_classic_iw(weights)}"
     _emit(args, {"algebra": out.to_json(), "classic_iw": is_classic_iw(weights)}, human)

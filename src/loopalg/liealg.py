@@ -10,25 +10,26 @@ constants as integers over one denominator d > 0: one sparse integer layer
 every layer) = 1.  That form is unique, so two algebras with the same
 constants compare equal as a plain (d, layers) pair.  Each operation is one
 pass over the layers: eps = 0 keeps the q = 0 layer (a negative q has no
-limit), another value of eps scales each layer by eps**q, a weighted
-rescaling shifts q, and a basis change transforms each layer on its own.
-These passes add and multiply ints and divide the result once by the gcd of
-all its entries; a Fraction is built only where a constant is handed out as a
-rational, and a :class:`~loopalg.scalars.PuiseuxScalar` only where it is
-handed out with its powers of eps.  Every direct
-construction (``from_json`` included) checks the Jacobi identity exactly, so
-every value of this type is a genuine Lie algebra (possibly depending on the
-parameter eps).  Operations whose results are Lie algebras by construction --
-basis changes, rescalings, substitutions of eps, contraction limits, matrix
-commutators, loop quotients -- build their layers directly and skip the
-re-check.
+limit), another value of eps scales each layer by eps**q taken as a pair of
+ints a / b, a weighted rescaling shifts q, and a basis change transforms
+each layer on its own by the 2x2 minors of T.  These passes add and multiply ints and
+divide the result once by the gcd of all its entries; a Fraction is built
+only where a constant is handed out as a rational, and a
+:class:`~loopalg.scalars.PuiseuxScalar` only where it is handed out with its
+powers of eps.  Every direct construction (``from_json`` included) checks
+the Jacobi identity exactly, so every value of this type is a genuine Lie
+algebra (possibly depending on the parameter eps).  Operations whose results
+are Lie algebras by construction -- basis changes, rescalings, substitutions
+of eps, contraction limits, matrix commutators, loop quotients -- build
+their layers directly and skip the re-check.
 
 On top of the data type this module provides the structural toolbox used by
 the quotient/contraction pipeline: derived subalgebra and center dimensions
-and the exact Killing form, a classifier for 3-dimensional real algebras by the
-inertia of their integer Bianchi matrix, the generalized weighted contraction
-and its diagonal-rescaling counterpart, and extraction of structure constants
-from a list of matrix generators.
+and the exact Killing form, a classifier for 3-dimensional real algebras by
+the inertia of their integer Bianchi matrix (read off its characteristic
+polynomial), the generalized weighted contraction and its diagonal-rescaling
+counterpart, and extraction of structure constants from a list of matrix
+generators.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import linalg
-from .scalars import (InputError, PuiseuxScalar, Rejected, _as_entry, _as_row, _inertia,
+from .scalars import (InputError, PuiseuxScalar, Rejected, _as_entry, _as_row,
                       add_term, as_fraction, as_int, eps_power, scale_to_integers)
 
 CLASS_LABELS = ("so3", "so21", "e2", "e11", "heisenberg", "abelian3", "other")
@@ -244,53 +245,59 @@ class LieAlgebra:
         return (self._dim, self._den, self._layers) == (other._dim, other._den, other._layers)
 
     def evaluate_at(self, eps) -> "LieAlgebra":
-        """Substitute an exact rational value for eps (eps = 0 takes the limit)."""
+        """Substitute an exact rational value for eps (eps = 0 takes the limit).
+
+        Layer q scales by the int pair eps**q = a / b of :func:`~loopalg.scalars.eps_power`,
+        and the result is the int sum of the layers over lcm(b) * den."""
         eps = as_fraction(eps)
         powers = []
         for q, layer in self._layers.items():
             # only eps = 0 with q < 0 diverges, and eps_power names that layer by its first term
             first = Fraction(next(iter(layer.values())), self._den) if q < 0 and not eps else None
-            powers.append((eps_power(eps, q, first), layer))
-        # every term over one common denominator: lcm(den(eps**q)) * den
-        den = lcm(*[p.denominator for p, _ in powers if p])
+            a, b = eps_power(eps, q, first)
+            if a:
+                powers.append((a, b, layer))
+        den = lcm(*[b for _, b, _ in powers])
         out: dict[tuple[int, int, int], int] = {}
-        for p, layer in powers:
-            if p:
-                f = p.numerator * (den // p.denominator)
-                for key, c in layer.items():
-                    add_term(out, key, f * c)
+        for a, b, layer in powers:
+            f = a * (den // b)
+            for key, c in layer.items():
+                # a zero sum is dropped where it occurs, so keys keep add_term's order
+                out[key] = x = out.get(key, 0) + f * c
+                if not x:
+                    del out[key]
         return LieAlgebra._from_layers(self._dim, den * self._den, {0: out}, self._names)
 
     def change_basis(self, t_rows) -> "LieAlgebra":
         """Rewrite the algebra in the basis Y_a = sum_j T[a][j] X_j (T invertible).
 
         T is prepared once (:func:`_prepared_basis`): scaled to the integer
-        matrix dt * T and inverted as M / dinv.  The last T's preparation is
-        kept, so a run of basis changes by one T (an algebra, then each of its
-        specialisations) scales and inverts it once.  The inner loops run in
-        int arithmetic over the stored layers, and the new constants are their
-        int sums over dt * dinv * den.
+        matrix dt * T, whose 2x2 minors give [Y_a, Y_b], and inverted as
+        M / dinv.  The last T is kept, so a run of basis changes by one T (an
+        algebra, then each of its specialisations) prepares it once.  The inner
+        loops run in int arithmetic over the stored layers, and the new
+        constants are their int sums over dt * dinv * den.
         """
-        t = tuple([tuple(_as_row(row)) for row in t_rows])
+        t = [_as_row(row) for row in t_rows]
         if len(t) != self._dim or any(len(r) != self._dim for r in t):
             raise WrongDimension("change-of-basis matrix must be dim x dim")
-        scale, t, tinv = _prepared_basis(t)
-        # linear in the constants: each layer transforms on its own
-        pairs = {(i, j) for layer in self._layers.values() for i, j, _ in layer}
-        acc: dict = {q: {} for q in self._layers}
-        for a in range(self._dim):
-            for b in range(a + 1, self._dim):
-                w = {(i, j): t[a][i] * t[b][j] - t[a][j] * t[b][i] for i, j in pairs}
-                for q, layer in self._layers.items():
-                    vec: dict[int, int] = {}
-                    for (i, j, k), c in layer.items():
-                        if w[i, j]:
-                            add_term(vec, k, w[i, j] * c)
-                    out = acc[q]
-                    for k, c in vec.items():
-                        for l in range(self._dim):
-                            if tinv[k][l]:
-                                add_term(out, (a, b, l), tinv[k][l] * c)
+        scale, minors, tinv = _prepared_basis(
+            self._dim, tuple([(x.numerator, x.denominator) for row in t for x in row]))
+        acc: dict = {}
+        for q, layer in self._layers.items():
+            out = acc[q] = {}
+            for (a, b), w in minors.items():
+                vec: dict[int, int] = {}
+                for (i, j, k), c in layer.items():
+                    if x := w[i, j]:
+                        vec[k] = x = vec.get(k, 0) + x * c
+                        if not x:
+                            del vec[k]
+                for k, c in vec.items():
+                    for l, m in tinv[k]:
+                        out[a, b, l] = x = out.get((a, b, l), 0) + m * c
+                        if not x:
+                            del out[a, b, l]
         return LieAlgebra._from_layers(self._dim, scale * self._den, acc, self._names)
 
     def to_json(self) -> dict:
@@ -310,16 +317,22 @@ class LieAlgebra:
 
 
 @lru_cache(maxsize=1)
-def _prepared_basis(t) -> tuple[int, tuple, tuple]:
-    """(dt * dinv, dt * T, M) for a basis change T, a tuple of Fraction rows:
-    dt the lcm of T's denominators and M / dinv = (dt * T)**-1, all ints.
-    One T is kept, and a singular T raises LinearlyDependent (never kept)."""
-    dt, ints = scale_to_integers(t)
-    inv = linalg._integer_inverse(ints)
+def _prepared_basis(n, key) -> tuple[int, dict, tuple]:
+    """(dt * dinv, minors, M) for an n x n T keyed by its entries' (numerator, denominator)
+    pairs, row by row: dt the lcm of the denominators, minors[a, b][i, j] the 2x2 minor of
+    S = dt * T on rows a < b and columns i < j, and M / dinv = S**-1 with each row as
+    its nonzero (column, entry) pairs.  A singular T raises LinearlyDependent."""
+    dt, s = scale_to_integers([[Fraction(p, d) for p, d in key[r * n:r * n + n]]
+                               for r in range(n)])
+    inv = linalg._integer_inverse(s)
     if inv is None:
         raise LinearlyDependent("change-of-basis matrix is singular")
     tinv, dinv = inv
-    return dt * dinv, tuple(map(tuple, ints)), tuple(map(tuple, tinv))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    minors = {(a, b): {(i, j): s[a][i] * s[b][j] - s[a][j] * s[b][i] for i, j in pairs}
+              for a, b in pairs}
+    return dt * dinv, minors, tuple([tuple([(l, m) for l, m in enumerate(row) if m])
+                                     for row in tinv])
 
 
 def _eps_free(alg: LieAlgebra, op: str) -> dict:
@@ -405,9 +418,11 @@ def classify3(alg: LieAlgebra) -> str:
     sign is a basis invariant, and it names the Bianchi class A type: so3
     (IX), so21 (VIII), e2 (VII_0), e11 (VI_0), heisenberg (II) and abelian3
     (I).  M is read from the stored integer layer, the constants times the
-    algebra's one positive denominator, which keeps the inertia, and goes
-    straight to the integer-inertia kernel behind
-    :func:`~loopalg.scalars.signature`.
+    algebra's one positive denominator, which keeps the inertia.  The roots of
+    the characteristic polynomial x**3 - e1 x**2 + e2 x - e3 of a symmetric M
+    are its eigenvalues, all real, so Descartes' rule of signs counts them
+    exactly: the sign changes of (1, -e1, e2, -e3) are the positive ones and
+    those of (1, e1, e2, e3) the negative ones, zeros skipped.
     """
     if alg.dim != 3:
         raise WrongDimension(f"classify3 needs dimension 3, got {alg.dim}")
@@ -415,9 +430,14 @@ def classify3(alg: LieAlgebra) -> str:
     for (i, j, k), c in _eps_free(alg, "classify3").items():
         # (i, j) = (0, 1), (1, 2) are cyclic; (0, 2) is [X_2, X_0] with its sign flipped
         m[3 - i - j][k] = c if j - i == 1 else -c
-    if m[0][1] != m[1][0] or m[0][2] != m[2][0] or m[1][2] != m[2][1]:
+    (a, b, c), (p, d, e), (r, s, f) = m
+    if (b, c, e) != (p, r, s):
         return "other"
-    pos, neg, _ = _inertia(m)
+    e1 = a + d + f  # tr M, the sum of the principal 2x2 minors and det M
+    e2 = a * d + a * f + d * f - b * b - c * c - e * e
+    e3 = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+    signs = [[x > 0 for x in coeffs if x] for coeffs in ((1, -e1, e2, -e3), (1, e1, e2, e3))]
+    pos, neg = [sum([x != y for x, y in zip(z, z[1:])]) for z in signs]
     return _BIANCHI_LABELS[max(pos, neg), min(pos, neg)]
 
 

@@ -9,7 +9,8 @@ denominator is 1).
 The limit ``eps -> 0`` is always taken from the positive side.  Sign branches
 (negative energies vs positive energies) are handled by substituting a signed
 rational value before any structural analysis, never by evaluating fractional
-powers of negative numbers.
+powers of negative numbers.  One exact rule, :func:`eps_power`, gives eps**q as a
+pair of ints; it takes a root only for a fractional q.
 """
 
 from __future__ import annotations
@@ -144,24 +145,27 @@ def scale_to_integers(rows) -> tuple[int, list[list[int]]]:
 MAX_POWER_BITS = 1 << 16
 
 
-def eps_power(eps: Fraction, q, c) -> Fraction:
-    """Exact eps**q for a rational eps; eps = 0 takes the eps -> 0+ limit.
+def eps_power(eps: Fraction, q, c) -> tuple[int, int]:
+    """Exact eps**q = a / b as ints, b > 0, for rational eps and q; eps = 0 takes
+    the eps -> 0+ limit.
 
     c is the coefficient of the term c*eps**q that needs the power: it only
-    names that term when the limit diverges (NegativeExponent).  A fractional
-    q needs eps to be an exact power (InexactPower), and a power q != 0 beyond
-    MAX_POWER_BITS is an InputError.
+    names that term when the limit diverges (NegativeExponent).  Only a
+    fractional q takes a root, which needs eps to be an exact power
+    (InexactPower), and a power q != 0 beyond MAX_POWER_BITS is an InputError.
     """
     if eps == 0 or q == 0:  # the eps -> 0+ limit, or eps**0 = 1
         if q < 0:
             raise NegativeExponent(f"term {c}*eps^{q} diverges for eps -> 0")
-        return Fraction(1 if q == 0 else 0)
+        return int(q == 0), 1
     bits = eps.numerator.bit_length() + eps.denominator.bit_length()
     if max(abs(q.numerator), q.denominator) * bits > MAX_POWER_BITS:
         raise InputError(f"eps^({q}) at eps = {eps} exceeds the exact-power bound "
                          f"of {MAX_POWER_BITS} bits")
     root = eps if q.denominator == 1 else _nth_root_exact(eps, q.denominator)
-    return root ** q.numerator
+    if q < 0:  # (n / d)**q = (d / n)**|q|, the sign kept on the numerator
+        root, q = 1 / root, -q
+    return root.numerator ** q.numerator, root.denominator ** q.numerator
 
 
 def _nth_root_exact(value: Fraction, n: int) -> Fraction:
@@ -223,7 +227,7 @@ class PuiseuxScalar(FrozenRecord):
         otherwise InexactPower is raised.
         """
         eps = as_fraction(eps)
-        return sum((c * eps_power(eps, q, c) for q, c in self.terms), Fraction(0))
+        return sum((c * Fraction(*eps_power(eps, q, c)) for q, c in self.terms), Fraction(0))
 
     def __add__(self, other):
         if not isinstance(other, PuiseuxScalar):

@@ -229,6 +229,22 @@ def test_unparsable_eps_is_a_usage_error(tmp_path, capsys):
     assert code == 0 and "(1/16)*S" in out
 
 
+def test_a_bad_rational_option_names_the_value(tmp_path, capsys):
+    # each part of --eps and --weights is read as the library reads a rational
+    path = tmp_path / "heisenberg.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "c": "1"}]}]}))
+    cases = {("quotient", "l1.json", "--eps", "1/0"): "eps '1/0': zero denominator: '1/0'",
+             ("quotient", "l1.json", "--eps", "abc"): "eps 'abc': not a rational: 'abc'",
+             ("contract", str(path), "--weights", "1/0,1,1"):
+                 "weights '1/0,1,1': zero denominator: '1/0'",
+             ("contract", str(path), "--weights", "abc,1,1"):
+                 "weights 'abc,1,1': not a rational: 'abc'"}
+    for argv, message in cases.items():
+        code, out, err = run(capsys, *argv)
+        assert _rejected(code, out, err) and err.strip() == f"error: cannot parse {message}", argv
+
+
 def test_verify_kepler_overflow_is_a_numerical_failure(capsys):
     # finite, well-formed parameters whose double arithmetic overflows in the
     # oracle ((m * beta) ** 2 in N1): exit 2 with one line, never a traceback

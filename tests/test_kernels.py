@@ -622,6 +622,21 @@ def test_classify3_reads_the_inertia_kernel_not_the_public_signature(monkeypatch
             assert classify3(changed) == ref_classify3(changed) == labels.get(name, "other")
 
 
+def test_classify3_labels_every_small_symmetric_bianchi_matrix_by_its_inertia():
+    # [X_i, X_j] = sum_m eps_ijm M[m] is a Lie algebra for every symmetric M (class A)
+    rng = random.Random(1925)
+    wide = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(2000)]
+    count = 0
+    for a, b, c, d, e, f in itertools.chain(itertools.product((-1, 0, 1), repeat=6), wide):
+        m = [[a, b, c], [b, d, e], [c, e, f]]
+        alg = LieAlgebra(3, {(0, 1): dict(enumerate(m[2])), (1, 2): dict(enumerate(m[0])),
+                             (0, 2): {k: -x for k, x in enumerate(m[1])}})
+        pos, neg, _ = scalars._inertia([row[:] for row in m])
+        assert classify3(alg) == liealg._BIANCHI_LABELS[max(pos, neg), min(pos, neg)], m
+        count += 1
+    assert count == 729 + 2000
+
+
 @pytest.mark.parametrize("reader", [derived_subalgebra_dim, center_dim, killing_form, classify3])
 def test_invariant_readers_name_themselves_on_symbolic_input(reader):
     family = factor_algebra(bundled_spec("h2"))
@@ -747,6 +762,19 @@ def test_change_basis_memo_on_so31():
         assert got.change_basis(ref_inverse(t)).same_constants(alg)
 
 
+def test_change_basis_memo_keys_a_matrix_of_mixed_entries_once():
+    alg = CLASSIFIED["e11"]()
+    ints = [[1, 2, 0], [0, 1, -1], [3, 0, 1]]
+    mixed = [[1, Fraction(2), "0"], ["0/5", "1", Fraction(-2, 2)], [Fraction(6, 2), 0, "1"]]
+    info = liealg._prepared_basis.cache_info
+    first = alg.change_basis(ints)
+    start = info()
+    again = alg.change_basis(mixed)
+    assert info().hits == start.hits + 1 and info().misses == start.misses
+    want = ref_change_basis(alg, [[Fraction(x) for x in row] for row in ints])
+    assert again.same_constants(first) and first.same_constants(want)
+
+
 # -- layered storage ----------------------------------------------------------------
 
 def _changed_quotients():
@@ -791,6 +819,54 @@ def test_evaluate_at_matches_substituting_each_scalar():
             assert got.same_constants(LieAlgebra(3, table))
             assert got.constants_fraction() == {
                 (i, j, k): c for (i, j), row in table.items() for k, c in row.items() if c}
+
+
+# eps**q of every layer, the exact-power bound's refusal included
+POWER_QS = [*range(-3, 4), Fraction(1, 2), Fraction(-2, 3), scalars.MAX_POWER_BITS // 4 + 1]
+POWER_EPS = [1, -1, Fraction(2, 3), Fraction(-2, 3), Fraction(-7, 5), 0, 4, Fraction(8, 27)]
+
+
+def _outcome(fn):
+    """fn() or the type and message of the refusal it raises."""
+    try:
+        return fn()
+    except (scalars.Rejected, scalars.InputError) as exc:
+        return type(exc), str(exc)
+
+
+def test_evaluate_at_matches_the_termwise_power_rule(monkeypatch):
+    kinds = set()
+    for qs in itertools.chain(((q,) for q in POWER_QS), itertools.combinations(POWER_QS, 2)):
+        s = PuiseuxScalar(zip(qs, (Fraction(-5, 3), Fraction(7, 2))))
+        table = {(0, 1): {2: s}, (0, 2): {1: 3 * s, 2: s}}
+        alg = LieAlgebra(3, table)
+        for eps in POWER_EPS:
+            # every constant has the exponents of s, so s.substitute names the first refusal
+            want = _outcome(lambda: {(i, j, k): x.substitute(eps) for (i, j), row in table.items()
+                                     for k, x in row.items()})
+            got = _outcome(lambda: alg.evaluate_at(eps).constants_fraction())
+            assert got == (want if isinstance(want, tuple) else
+                           {key: c for key, c in want.items() if c}), (qs, eps)
+            if isinstance(got, tuple):
+                kinds.add(got[0])
+    assert kinds == {scalars.NegativeExponent, scalars.InexactPower, scalars.InputError}
+    assert _outcome(lambda: LieAlgebra(3, {(0, 1): {2: PuiseuxScalar.monomial(4, -2)}})
+                    .evaluate_at(0)) == (scalars.NegativeExponent,
+                                         "term 4*eps^-2 diverges for eps -> 0")
+
+    # an integer q is raised on ints, the sign of a negative eps on the numerator
+    def refuse(value, n):
+        raise AssertionError("an integer power took a root")
+
+    monkeypatch.setattr(scalars, "_nth_root_exact", refuse)
+    for q in range(-3, 4):
+        alg = LieAlgebra(3, {(0, 1): {2: PuiseuxScalar.monomial(Fraction(-5, 3), q)}})
+        for eps in POWER_EPS:
+            if eps:
+                want = Fraction(-5, 3) * Fraction(eps) ** q
+                assert alg.evaluate_at(eps).constants_fraction() == {(0, 1, 2): want}
+    assert LieAlgebra(3, {(0, 1): {2: PuiseuxScalar.monomial(1, -3)}}).evaluate_at(
+        Fraction(-2, 3)).constants_fraction() == {(0, 1, 2): Fraction(-27, 8)}
 
 
 def test_rescale_basis_matches_reference_and_inverts():
