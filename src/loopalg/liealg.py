@@ -248,13 +248,16 @@ class LieAlgebra:
         """Substitute an exact rational value for eps (eps = 0 takes the limit).
 
         Layer q scales by the int pair eps**q = a / b of :func:`~loopalg.scalars.eps_power`,
-        and the result is the int sum of the layers over lcm(b) * den."""
+        and the result is the int sum of the layers over lcm(b) * den.  The layers go in
+        ascending q, as the terms of :meth:`~loopalg.scalars.PuiseuxScalar.substitute` do,
+        and a diverging one is named by its least (i, j, k): a refusal is a function of
+        the constants, not of the order they were built in."""
         eps = as_fraction(eps)
         powers = []
-        for q, layer in self._layers.items():
-            # only eps = 0 with q < 0 diverges, and eps_power names that layer by its first term
-            first = Fraction(next(iter(layer.values())), self._den) if q < 0 and not eps else None
-            a, b = eps_power(eps, q, first)
+        for q, layer in sorted(self._layers.items()):
+            # only eps = 0 with q < 0 diverges, and eps_power names that term
+            least = Fraction(layer[min(layer)], self._den) if q < 0 and not eps else None
+            a, b = eps_power(eps, q, least)
             if a:
                 powers.append((a, b, layer))
         den = lcm(*[b for _, b, _ in powers])
@@ -262,7 +265,6 @@ class LieAlgebra:
         for a, b, layer in powers:
             f = a * (den // b)
             for key, c in layer.items():
-                # a zero sum is dropped where it occurs, so keys keep add_term's order
                 out[key] = x = out.get(key, 0) + f * c
                 if not x:
                     del out[key]
@@ -318,12 +320,12 @@ class LieAlgebra:
 
 @lru_cache(maxsize=1)
 def _prepared_basis(n, key) -> tuple[int, dict, tuple]:
-    """(dt * dinv, minors, M) for an n x n T keyed by its entries' (numerator, denominator)
-    pairs, row by row: dt the lcm of the denominators, minors[a, b][i, j] the 2x2 minor of
-    S = dt * T on rows a < b and columns i < j, and M / dinv = S**-1 with each row as
-    its nonzero (column, entry) pairs.  A singular T raises LinearlyDependent."""
-    dt, s = scale_to_integers([[Fraction(p, d) for p, d in key[r * n:r * n + n]]
-                               for r in range(n)])
+    """(dt * dinv, minors, M), all ints, for an n x n T keyed by its entries' (numerator,
+    denominator) pairs, row by row: dt the lcm of the denominators, minors[a, b][i, j] the
+    2x2 minor of S = dt * T on rows a < b and columns i < j, and M / dinv = S**-1 with each
+    row as its nonzero (column, entry) pairs.  A singular T raises LinearlyDependent."""
+    dt = lcm(*[d for _, d in key])
+    s = [[p * (dt // d) for p, d in key[r * n:r * n + n]] for r in range(n)]
     inv = linalg._integer_inverse(s)
     if inv is None:
         raise LinearlyDependent("change-of-basis matrix is singular")
@@ -464,7 +466,7 @@ def contract(alg: LieAlgebra, weights) -> LieAlgebra:
         elif e == 0:
             kept[i, j, k] = c
     if violations:
-        raise ContractionUndefined(violations)
+        raise ContractionUndefined(sorted(violations))
     return LieAlgebra._from_layers(alg.dim, alg._den, {0: kept}, alg.names)
 
 

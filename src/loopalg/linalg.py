@@ -1,8 +1,9 @@
 """Small exact linear algebra kernel over the rationals (rank, inverse).
 
-Entries are ints or Fractions.  Every kernel scales the matrix to integers
-(``scalars.scale_to_integers``; the inverse takes an all-int matrix as
-given), eliminates in int arithmetic and builds a Fraction only for an
+Entries are ints or Fractions.  The RREF and the rank scale the matrix to
+integers (``scalars.scale_to_integers``), and the private inverse takes an
+all-int matrix (its caller, ``liealg``'s basis change, scales T itself).
+Every kernel eliminates in int arithmetic and builds a Fraction only for an
 entry it returns (fraction-free elimination): the rank builds none, and the
 inverse returns int entries over one denominator.  The elimination divides
 each updated row exactly by the previous pivot (Bareiss, Math. Comp. 22,
@@ -67,16 +68,13 @@ def matrix_rank(rows) -> int:
 
 
 def _integer_inverse(rows):
-    """(M, d) with M integer and M / d the inverse of a square rational matrix, or None.
+    """(M, d) with M integer and M / d the inverse of a square int matrix T, or None.
 
-    Gauss-Jordan on [s * T | s * I] leaves det * [I | T**-1] with det the
-    determinant of s * T up to sign, so d = |det| is read off the diagonal.
-    An all-int T is taken as given (s = 1).
+    Gauss-Jordan on [T | I] leaves det * [I | T**-1] with det the
+    determinant of T up to sign, so d = |det| is read off the diagonal.
     """
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    if not all(type(x) is int for row in rows for x in row):
-        m = scale_to_integers(m)[1]
     if _eliminate(m) != list(range(n)):
         return None
     det = m[0][0] if m else 1

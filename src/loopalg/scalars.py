@@ -10,7 +10,7 @@ The limit ``eps -> 0`` is always taken from the positive side.  Sign branches
 (negative energies vs positive energies) are handled by substituting a signed
 rational value before any structural analysis, never by evaluating fractional
 powers of negative numbers.  One exact rule, :func:`eps_power`, gives eps**q as a
-pair of ints; it takes a root only for a fractional q.
+pair of ints from the int pair of eps, with a root only for a fractional q.
 """
 
 from __future__ import annotations
@@ -150,37 +150,29 @@ def eps_power(eps: Fraction, q, c) -> tuple[int, int]:
     the eps -> 0+ limit.
 
     c is the coefficient of the term c*eps**q that needs the power: it only
-    names that term when the limit diverges (NegativeExponent).  Only a
-    fractional q takes a root, which needs eps to be an exact power
-    (InexactPower), and a power q != 0 beyond MAX_POWER_BITS is an InputError.
+    names that term when the limit diverges (NegativeExponent).  The int pair
+    (numerator, denominator) of eps is swapped for a negative q and rooted part by
+    part for a fractional q, which needs an exact power (InexactPower); a power
+    q != 0 beyond MAX_POWER_BITS is an InputError.
     """
     if eps == 0 or q == 0:  # the eps -> 0+ limit, or eps**0 = 1
         if q < 0:
             raise NegativeExponent(f"term {c}*eps^{q} diverges for eps -> 0")
         return int(q == 0), 1
-    bits = eps.numerator.bit_length() + eps.denominator.bit_length()
-    if max(abs(q.numerator), q.denominator) * bits > MAX_POWER_BITS:
+    a, b = eps.numerator, eps.denominator
+    if max(abs(q.numerator), q.denominator) * (a.bit_length() + b.bit_length()) > MAX_POWER_BITS:
         raise InputError(f"eps^({q}) at eps = {eps} exceeds the exact-power bound "
                          f"of {MAX_POWER_BITS} bits")
-    root = eps if q.denominator == 1 else _nth_root_exact(eps, q.denominator)
-    if q < 0:  # (n / d)**q = (d / n)**|q|, the sign kept on the numerator
-        root, q = 1 / root, -q
-    return root.numerator ** q.numerator, root.denominator ** q.numerator
-
-
-def _nth_root_exact(value: Fraction, n: int) -> Fraction:
-    """Exact n-th root of a rational, or raise InexactPower."""
-    if n <= 0:
-        raise ValueError("root index must be positive")
-    if value < 0:
-        if n % 2 == 0:
-            raise InexactPower(f"no real {n}-th root of {value}")
-        return -_nth_root_exact(-value, n)
-    num = _int_nth_root(value.numerator, n)
-    den = _int_nth_root(value.denominator, n)
-    if num is None or den is None:
-        raise InexactPower(f"{value} is not an exact {n}-th power")
-    return Fraction(num, den)
+    if (n := q.denominator) > 1:
+        if a < 0 and n % 2 == 0:
+            raise InexactPower(f"no real {n}-th root of {eps}")
+        ra, b = _int_nth_root(abs(a), n), _int_nth_root(b, n)
+        if ra is None or b is None:
+            raise InexactPower(f"{abs(eps)} is not an exact {n}-th power")
+        a = ra if a > 0 else -ra
+    if q < 0:  # (a / b)**q = (b / a)**|q|, the sign kept on the numerator
+        a, b = (b if a > 0 else -b), abs(a)
+    return a ** abs(q.numerator), b ** abs(q.numerator)
 
 
 def _int_nth_root(k: int, n: int):

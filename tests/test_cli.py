@@ -291,6 +291,7 @@ MALFORMED_FILES = {
     "selection_float": {**_SPEC, "selection": [0, 1.0]},
     "selection_bool": {**_SPEC, "selection": [False, True]},
     "dim_not_int": {"dim": "x"},
+    "top_level_array": [],
     "names_not_list": {"dim": 3, "names": 5},
     "names_string": {"dim": 3, "names": "XYZ"},
     # a generator name is a JSON string, distinct from the others
@@ -325,6 +326,18 @@ def test_malformed_input_file_exits_64_with_one_line(tmp_path, capsys, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(MALFORMED_FILES[name]))
     assert _rejected(*run(capsys, "validate", str(path)))
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("quotient", {"dim": 3, "brackets": [_BRACKET]}, " is not a loop-spec file (no 'generators' key)"),
+    ("classify", {**_SPEC, "brackets": [_SPEC_TERM]}, " is not an algebra file (no 'dim' key)"),
+    ("validate", [], ": top-level JSON value must be an object"),
+], ids=["quotient_on_an_algebra", "classify_on_a_spec", "top_level_array"])
+def test_a_file_of_the_wrong_kind_exits_64_naming_it(tmp_path, capsys, command, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(path))
+    assert _rejected(code, out, err) and err == f"error: {path}{message}\n"
 
 
 # a generator named like a quotient class of another: A at level 1 is "h*A"

@@ -62,6 +62,9 @@ def test_observable_wrapper():
     assert evaluate(s_closure, PARAMS, x) == evaluate("S", PARAMS, x)
     with pytest.raises(KeyError, match="unknown observable"):
         evaluate("Q", PARAMS, x)
+    with pytest.raises(TypeError) as err:
+        evaluate(3, PARAMS, x)
+    assert str(err.value) == "not an observable: 3"
 
 
 def test_deformed_runge_lenz_reduces_to_plain():

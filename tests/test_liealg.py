@@ -385,6 +385,8 @@ def test_degenerate_dimensions():
         assert derived_subalgebra_dim(alg) == 0
         assert killing_form(alg) == [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
         assert contract(alg, [1] * alg.dim).same_constants(alg)
+    none = algebra_from_matrices([])
+    assert none.same_constants(zero) and none.names == ()
 
 
 @pytest.mark.parametrize("brackets", [
@@ -442,6 +444,24 @@ def test_a_malformed_rational_is_an_input_error_naming_it(call, why, value):
     with pytest.raises(InputError) as err:
         call(so3())
     assert type(err.value) is InputError and str(err.value) == f"{why}: {value}"
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda alg: LieAlgebra(-1, {}), AlgebraFormatError, "dimension must be nonnegative"),
+    (lambda alg: LieAlgebra(2, {}, names=["X"]), AlgebraFormatError,
+     "names length does not match dimension"),
+    (lambda alg: LieAlgebra(3, {(1, 0): {2: 1}}), AlgebraFormatError,
+     "bracket key (1,0) must satisfy 0 <= i < j < 3"),
+    (lambda alg: contract(alg, [1, 1]), WrongDimension, "expected 3 weights, got 2"),
+    (lambda alg: rescale_basis(alg, [1, 1, 1, 1]), WrongDimension, "expected 3 weights, got 4"),
+    (lambda alg: algebra_from_matrices([[[1, 0], [0, 0]], [[1]]]), WrongDimension,
+     "generators must be square matrices of equal size"),
+], ids=["negative_dim", "names_length", "key_out_of_range", "contract_weights",
+        "rescale_weights", "unequal_generators"])
+def test_a_refused_shape_names_the_refusal(call, kind, message):
+    with pytest.raises(kind) as err:
+        call(so3())
+    assert type(err.value) is kind and str(err.value) == message
 
 
 @pytest.mark.parametrize("call, strings, lists, string", [

@@ -460,6 +460,30 @@ def test_embedding_map_entries_must_be_integers(h2, l1, gen_map):
         embedding_check(l1, h2, gen_map)
 
 
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda h2: LoopSpec(0, [("A", 0)], {}), SpecFormatError, "grade of h must be a positive integer"),
+    (lambda h2: LoopSpec(1, [("A", 0), ("B", -1)], {}), SpecFormatError,
+     "generator B has negative grade"),
+    (lambda h2: LoopSpec(1, [("A", 0), ("B", 0)], {(0, 1): [(1, 1, -1)]}), SpecFormatError,
+     "h-powers must be nonnegative"),
+    (lambda h2: LoopSpec(1, [("A", 0), ("B", 0)], {(0, 1): [(1, 1, 0), (1, 2, 0)]}),
+     SpecFormatError, "duplicate target 1 in bracket (0,1)"),
+    (lambda h2: h2.element([(0, -1, 1)]), InputError,
+     "negative levels are not part of the positive loop algebra"),
+    (lambda h2: embedding_check(LoopSpec(1, [("A", 0)], {}), h2, [(0, 0)]), GradeMismatch,
+     "h grades differ: 1 != 2"),
+    (lambda h2: embedding_check(h2, h2, [(0, 0), (1, 0), (3, 0)]), GradeMismatch,
+     "host index 3 out of range"),
+    (lambda h2: embedding_check(h2, h2, [(0, 0), (1, 0), (2, -1)]), GradeMismatch,
+     "level offsets must be nonnegative"),
+], ids=["s_zero", "negative_grade", "negative_hpow", "duplicate_target", "negative_level",
+        "h_grades_differ", "host_index_out_of_range", "negative_offset"])
+def test_a_refused_spec_element_or_map_names_the_refusal(h2, call, kind, message):
+    with pytest.raises(kind) as err:
+        call(h2)
+    assert type(err.value) is kind and str(err.value) == message
+
+
 @pytest.mark.parametrize("call, entry", [
     (lambda h2: embedding_check(h2, h2, "abc"), "a"),
     (lambda h2: embedding_check(h2, h2, [(0, 0, 1), (1, 0), (2, 0)]), (0, 0, 1)),

@@ -72,6 +72,18 @@ def test_arithmetic_merges_and_drops_zeros():
     assert prod == P.monomial(6, 2)
     assert 2 * P.monomial(1, 1) == P.monomial(2, 1)
     assert P.monomial(Fraction(1, 3), 0) * 3 == P.monomial(1, 0)
+    assert str(P()) == "0"
+
+
+@pytest.mark.parametrize("op, symbol", [(lambda a, b: a + b, "+"), (lambda a, b: a * b, "*")])
+def test_scalar_arithmetic_with_a_foreign_type_is_a_type_error(op, symbol):
+    # a float is no exact rational: + and * refuse it, and == never holds
+    for a, b, names in ((P.monomial(1, 0), 0.5, "'PuiseuxScalar' and 'float'"),
+                        (0.5, P.monomial(1, 0), "'float' and 'PuiseuxScalar'")):
+        with pytest.raises(TypeError) as err:
+            op(a, b)
+        assert str(err.value) == f"unsupported operand type(s) for {symbol}: {names}"
+    assert P.monomial(1, 0) != 1.0 and P() != 0.0 and P.monomial(1, 0) == 1
 
 
 def test_scalar_is_immutable_and_hashable():
