@@ -54,7 +54,6 @@ __version__ = "0.1.0"
 
 _KEPLER_NAMES = (
     "BoundaryTooClose",
-    "IdentityFailed",
     "KeplerParams",
     "OracleReport",
     "PhasePoint",

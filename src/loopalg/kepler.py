@@ -60,16 +60,6 @@ class BoundaryTooClose(ValueError):
     """Finite-difference stencil would leave the coordinate domain."""
 
 
-class IdentityFailed(RuntimeError):
-    """A bracket identity exceeded its tolerance at a sampled point."""
-
-    def __init__(self, name, point, residual):
-        self.name = name
-        self.point = point
-        self.residual = residual
-        super().__init__(f"{name} failed at {point}: relative residual {residual:.3e}")
-
-
 def _refuse_bool(value, name):
     if isinstance(value, bool):
         raise TypeError(f"{name} must be a real number, got {value!r}")
@@ -301,15 +291,13 @@ class OracleReport(FrozenRecord):
         return out
 
 
-def _run_identities(identities, params, points, tol, step, n_raising):
+def _run_identities(identities, params, points, tol, step):
     """Worst relative residual of each (name, f, g, terms) row over points.
 
     A row over observable keys (see _key) states {f, g} = sum float(c) *
     h(x)**p * X(x) over its (c, p, X) terms.  The loop is point-major: at each
     point one stencil (see _bind), closures in its trailing slots, gives every
-    gradient and value, each power of h is taken once, and all rows share
-    them.  The first n_raising rows raise IdentityFailed at the first failing
-    sample (the first failing row there); the others are only reported.
+    gradient and value, each power of h is taken once, and all rows share them.
     """
     _refuse_bool(tol, "tol")
     if not 0 <= tol < math.inf:
@@ -328,7 +316,7 @@ def _run_identities(identities, params, points, tol, step, n_raising):
         grad = {key: _partials(cols, key) for key in operands}
         hv = val[h]
         hp = {p: hv ** p for p in powers}
-        for i, (name, f, g, terms) in enumerate(rows):
+        for i, (_, f, g, terms) in enumerate(rows):
             lhs = _bracket(grad[f], grad[g])
             want = 0  # summed from 0, left to right, as sum() adds a row of floats
             for c, p, key in terms:
@@ -337,8 +325,6 @@ def _run_identities(identities, params, points, tol, step, n_raising):
             res = abs(lhs - want) / scale
             if res > worst[i] or math.isnan(res):  # once NaN, worst stays NaN
                 worst[i] = res
-            if i < n_raising and not res <= tol:
-                raise IdentityFailed(name, x, res)
     return [IdentityResult(row[0], len(points), res, res <= tol)
             for row, res in zip(rows, worst)]
 
@@ -349,7 +335,6 @@ def identity_suite(
     seed: int = 0,
     tol: float = 1e-5,
     step: float = 1e-6,
-    fail_fast: bool = False,
 ) -> OracleReport:
     """Check every bracket identity of the conserved set at sampled points.
 
@@ -357,9 +342,8 @@ def identity_suite(
     momentum / Runge-Lenz relations, the deformed relations through S, N1,
     N2, and both closed algebras on (M2, S, N1) and (N1, N2, S).  Also
     resolves the radial-coefficient ambiguity in M by testing the m*beta
-    variant's conservation alongside the implemented m*alpha one.  With
-    fail_fast, IdentityFailed is raised at the first failing sample; the
-    m*beta variant, which fails by design unless alpha == beta, never raises.
+    variant's conservation alongside the implemented m*alpha one (reported in
+    radial_term: it fails by design unless alpha == beta).
     """
     alpha, beta = params.alpha, params.beta
     conserved = ("M1", "M2", "S", "N1", "N2") + (("L",) if beta == 0 else ())
@@ -384,8 +368,7 @@ def identity_suite(
             for name, f, g, terms in table]
     variant_row = ("{H,M1 with m*beta radial term}=0", _key("H"), _M1_BETA, ())
     *results, variant = _run_identities(rows + [variant_row], params,
-                                        sample_points(samples, seed), tol, step,
-                                        len(rows) if fail_fast else 0)
+                                        sample_points(samples, seed), tol, step)
     radial_term = {
         "radial_coefficient": "m*alpha",
         "max_rel_residual": results[0].max_rel_residual,  # {H,M1}=0
@@ -405,7 +388,6 @@ def cross_check_loop_spec(
     seed: int = 0,
     tol: float = 1e-5,
     step: float = 1e-6,
-    fail_fast: bool = False,
 ) -> OracleReport:
     """Verify every base bracket of a loop spec against the realization.
 
@@ -424,6 +406,5 @@ def cross_check_loop_spec(
                            for k, c, p in terms)
         rows.append((f"{{{names[i]},{names[j]}}}={label}", bound[names[i]], bound[names[j]],
                      [(c, p, bound[names[k]]) for k, c, p in terms]))
-    results = _run_identities(rows, params, sample_points(samples, seed), tol, step,
-                              len(rows) if fail_fast else 0)
+    results = _run_identities(rows, params, sample_points(samples, seed), tol, step)
     return OracleReport(params, samples, seed, tol, tuple(results))

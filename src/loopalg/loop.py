@@ -22,8 +22,8 @@ each tower to its minimal-level representative and gives a finite
 :class:`~loopalg.liealg.LieAlgebra` with constants c * eps**(m_i + m_j + p - m_k).
 The selected set is a subalgebra exactly when all those exponents are
 nonnegative, so one walk over the table (:func:`_quotient_layers`) is both
-the closure check and the quotient: it files each term under its exponent
-and stops at the first negative one.
+the closure check and the quotient: it files each term under its exponent,
+and a negative one refuses the selection, naming the least such (i, j, k).
 """
 
 from __future__ import annotations
@@ -257,16 +257,19 @@ def loop_bracket(spec: LoopSpec, x: LoopElement, y: LoopElement) -> LoopElement:
 def _quotient_layers(spec: LoopSpec, m: TowerSelection) -> dict:
     """Layers {q: {(i, j, k): c * d}} of the quotient at levels m, over the spec's
     denominator d: each base term c * h**p, in table order, filed under
-    q = m_i + m_j + p - m_k; NotClosed at the first negative q."""
+    q = m_i + m_j + p - m_k; NotClosed names the least (i, j, k) with q < 0."""
     if len(m) != spec.n_generators:
         raise SpecFormatError("selection length does not match generator count")
     layers: dict = {}
+    bad = []
     for (i, j), terms in spec._brackets.items():
         for (k, p), num in terms.items():
             q = m[i] + m[j] + p - m[k]
             if q < 0:
-                raise NotClosed(i, j, k, m[k], m[i] + m[j] + p)
+                bad.append((i, j, k, m[k], m[i] + m[j] + p))
             layers.setdefault(q, {})[i, j, k] = num
+    if bad:
+        raise NotClosed(*min(bad))
     return layers
 
 

@@ -165,10 +165,10 @@ def eps_power(eps: Fraction, q, c) -> tuple[int, int]:
                          f"of {MAX_POWER_BITS} bits")
     if (n := q.denominator) > 1:
         if a < 0 and n % 2 == 0:
-            raise InexactPower(f"no real {n}-th root of {eps}")
+            raise InexactPower(f"eps^({q}) is not real at eps = {eps}")
         ra, b = _int_nth_root(abs(a), n), _int_nth_root(b, n)
         if ra is None or b is None:
-            raise InexactPower(f"{abs(eps)} is not an exact {n}-th power")
+            raise InexactPower(f"eps^({q}) is not rational at eps = {eps}")
         a = ra if a > 0 else -ra
     if q < 0:  # (a / b)**q = (b / a)**|q|, the sign kept on the numerator
         a, b = (b if a > 0 else -b), abs(a)

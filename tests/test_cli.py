@@ -102,6 +102,14 @@ def test_eps_power_beyond_the_bound_exits_64(tmp_path, capsys):
     assert _rejected(code, out, err) and "exact-power bound" in err
 
 
+def test_an_inexact_power_exits_1_naming_it(tmp_path, capsys):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "c": "1", "q": "1/2"}]}]}))
+    code, out, err = run(capsys, "classify", str(path), "--eps=-1/8")
+    assert (code, out, err) == (1, "", "error: eps^(1/2) is not real at eps = -1/8\n")
+
+
 def test_quotient_and_classify_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "quotient", "l1.json", "--format", "json")
     assert code == 0
@@ -415,7 +423,6 @@ def test_verify_kepler_tol_zero_runs(capsys):
 # exception classes outside the two input categories, and why
 NOT_CATEGORIZED = {
     kepler.BoundaryTooClose: "oracle: stencil leaves the domain (exit 2)",
-    kepler.IdentityFailed: "oracle: identity over tolerance under fail_fast (exit 2)",
 }
 
 
@@ -427,6 +434,6 @@ def test_every_exception_class_has_an_error_category():
     assert scalars.InputError in classes and liealg.NotInSpan in classes
     for cls in classes:
         assert issubclass(cls, (scalars.InputError, scalars.Rejected)) or cls in NOT_CATEGORIZED, cls
-        assert issubclass(cls, ValueError) or cls is kepler.IdentityFailed, cls
+        assert issubclass(cls, ValueError), cls
     assert not issubclass(scalars.InputError, scalars.Rejected)
     assert not issubclass(scalars.Rejected, scalars.InputError)

@@ -20,7 +20,7 @@ HEAVY = ("loopalg.kepler", "dataclasses", "importlib.resources", "typing")
 # the names `from loopalg import *` gives, as before the oracle was made lazy
 STAR_NAMES = [
     "BoundaryTooClose", "BracketMismatch", "CLASS_LABELS", "ContractionUndefined",
-    "DEFAULT_MAX_LEVEL", "EmbeddingReport", "GradeMismatch", "IdentityFailed",
+    "DEFAULT_MAX_LEVEL", "EmbeddingReport", "GradeMismatch",
     "InexactPower", "InputError", "JacobiViolation", "KeplerParams", "LieAlgebra",
     "LinearlyDependent", "LoopElement", "LoopSpec", "NegativeExponent", "NotSymmetric",
     "OracleReport", "PhasePoint", "PuiseuxScalar", "Rejected", "SpecFormatError",

@@ -245,23 +245,46 @@ def test_check_selection_examples(h2):
     check_selection(h2, (0, 0, 0))
 
 
-def test_not_closed_names_the_first_violation_in_input_order():
+def test_not_closed_names_the_least_violation():
     # X3 is central, so Jacobi holds; the file lists (1,2) before (0,1), and
     # m = (1, 0, 0, 2) breaks both: (1,2)->3 lands at 0 and (0,1)->3 at 1
     data = {"s": 1, "generators": [{"name": f"X{i}", "grade": 0} for i in range(4)],
             "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1", "hpow": 0}]},
                          {"i": 0, "j": 1, "terms": [{"k": 3, "c": "-1/2", "hpow": 0}]}]}
     spec = LoopSpec.from_json(data)
-    message = "selection not closed on (1,2)->3: need level >= 2, bracket lands at 0"
+    message = "selection not closed on (0,1)->3: need level >= 2, bracket lands at 1"
     for check in (check_selection, factor_algebra):
         with pytest.raises(NotClosed) as err:
             check(spec, (1, 0, 0, 2))
-        assert str(err.value) == message and err.value.triple == (1, 2, 3)
+        assert str(err.value) == message and err.value.triple == (0, 1, 3)
     assert not selection_ok(spec, (1, 0, 0, 2))
-    # with (1,2) closed, the (0,1) term is the one named
-    with pytest.raises(NotClosed, match=r"^selection not closed on \(0,1\)->3: need level >= 2, "
-                                        r"bracket lands at 1$"):
-        check_selection(spec, (1, 0, 2, 2))
+    # with (0,1) closed, the (1,2) term is the one named
+    with pytest.raises(NotClosed, match=r"^selection not closed on \(1,2\)->3: need level >= 2, "
+                                        r"bracket lands at 0$"):
+        check_selection(spec, (2, 0, 0, 2))
+
+
+def test_not_closed_is_a_function_of_the_constants_not_of_their_order():
+    # A, B, C of grade 1 and Z of grade 2 with {A,B} = Z and {A,C} = 2Z, the
+    # pairs listed in both orders: every selection in [0,3]^4 has one outcome
+    def outcomes(pairs):
+        spec = LoopSpec.from_json({
+            "s": 1, "generators": [{"name": n, "grade": g}
+                                   for n, g in (("A", 1), ("B", 1), ("C", 1), ("Z", 2))],
+            "brackets": [{"i": 0, "j": j, "terms": [{"k": 3, "c": c, "hpow": 0}]}
+                         for j, c in pairs]})
+        out = []
+        for m in itertools.product(range(4), repeat=4):
+            try:
+                out.append(factor_algebra(spec, m).brackets())
+            except NotClosed as err:
+                out.append((str(err), err.triple))
+        return out
+
+    forward = outcomes([(1, "1"), (2, "2")])
+    assert forward == outcomes([(2, "2"), (1, "1")])
+    assert forward[1] == ("selection not closed on (0,1)->3: need level >= 1, "
+                          "bracket lands at 0", (0, 1, 3))  # m = (0, 0, 0, 1)
 
 
 def test_selection_wrong_length(h2):
@@ -405,6 +428,15 @@ def test_evaluate_at_exactness_errors():
     neg3 = rescale_basis(LieAlgebra(3, {(0, 1): {2: 3}}), (1, 0, 0))
     with pytest.raises(NegativeExponent, match=r"^term 3\*eps\^-1 diverges for eps -> 0$"):
         neg3.evaluate_at(0)
+    # an inexact power names the exponent and eps, as the bound message does
+    half = LieAlgebra.from_json({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "c": "1", "q": "1/2"}]}]})
+    with pytest.raises(InexactPower, match=r"^eps\^\(1/2\) is not real at eps = -1/8$"):
+        half.evaluate_at(Fraction(-1, 8))
+    two_thirds = LieAlgebra.from_json({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "c": "1", "q": "2/3"}]}]})
+    with pytest.raises(InexactPower, match=r"^eps\^\(2/3\) is not rational at eps = 4/9$"):
+        two_thirds.evaluate_at(Fraction(4, 9))
 
 
 # -- embeddings ---------------------------------------------------------------------
