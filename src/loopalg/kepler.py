@@ -32,15 +32,20 @@ Brackets are evaluated by central finite differences,
 with per-coordinate step  step * max(1, |coordinate|); the default step
 1e-6 puts the second-order truncation error far below the default relative
 tolerance of 1e-5.  The identity suite and the loop-spec cross-check share
-one relation form and one sample loop.  At each sample point one
-trig-sharing stencil evaluates every named observable at the centre and at
-the 8 stencil points: phi enters only through cos phi, sin phi, cos phi/2
-and sin phi/2, which are taken once for the 7 points that keep phi, and r
-through sqrt(r), taken once for the 7 points that keep r.  The identity
-suite's two helper quantities (h0*L and the m*beta radial variant of M1)
-ride in private trailing slots, and each user-supplied closure operand in a
-slot after them, so one stencil gives every gradient and value.  The stencil
-refuses a point within one step of r = 0 or of the cut at phi = +-pi.
+one relation form and one identity-major loop over blocks of sample points.
+At each sample point one trig-sharing stencil evaluates every named
+observable at the centre and at the 8 stencil points: phi enters only
+through cos phi, sin phi, cos phi/2 and sin phi/2, which are taken once for
+the 7 points that keep phi, and r through sqrt(r), taken once for the 7
+points that keep r.  The identity suite's two helper quantities (h0*L and
+the m*beta radial variant of M1) ride in private slots that the stencil
+fills only when a row reads them, and each user-supplied closure operand in
+a trailing slot after the filled ones, so one stencil gives every gradient
+and value.  Over a block of points each operand's gradient, each power of h
+and each value is then taken once as a column, and each relation's
+residuals over the block come from one pass over those columns.  The
+stencil refuses a point within one step of r = 0 or of the cut at
+phi = +-pi.
 """
 
 from __future__ import annotations
@@ -105,21 +110,26 @@ class PhasePoint(FrozenRecord):
 
 # Two private trailing slots of the evaluator's tuple, used by the identity
 # suite only: h0*L grades {A1, A2}, and M1 with an m*beta radial term is the
-# variant whose conservation is checked.  No name reaches them.
+# variant whose conservation is checked.  No name reaches them, and the
+# evaluator fills them only when asked.
 _H0_L, _M1_BETA = len(OBSERVABLE_NAMES), len(OBSERVABLE_NAMES) + 1
+
+# Sample points per pass of the identity loop: a bound on the stencil tuples
+# and columns held at once.
+_BLOCK = 32
 
 
 @functools.lru_cache(maxsize=32)
-def _bind(params: KeplerParams):
+def _bind(params: KeplerParams, private: bool):
     """(values, stencil) over one core evaluator of every observable.
 
     values(r, phi, pr, pphi) is the tuple of all observables at a point, in
-    OBSERVABLE_NAMES order followed by the two private slots.  stencil(x,
-    step, closures) is (values at x, [(values(x + d e_i), values(x - d e_i),
-    2 d) for each coordinate i]), d = step * max(1, |x_i|), each tuple followed
-    by the closures' values; the points that keep phi or r share its trig
-    values or sqrt(r).  A point within d of r = 0 or of the cut raises
-    BoundaryTooClose before anything is evaluated.
+    OBSERVABLE_NAMES order, followed by the two private slots if private is
+    true.  stencil(x, step, closures) is (values at x, [(values(x + d e_i),
+    values(x - d e_i), 2 d) for each coordinate i]), d = step * max(1, |x_i|),
+    each tuple followed by the closures' values; the points that keep phi or r
+    share its trig values or sqrt(r).  A point within d of r = 0 or of the cut
+    raises BoundaryTooClose before anything is evaluated.
     """
     m, alpha, beta = params.m, params.alpha, params.beta
     two_m, minus_two_m, m_alpha, m_beta = 2 * m, -2 * m, m * alpha, m * beta
@@ -137,8 +147,10 @@ def _bind(params: KeplerParams):
         M1 = A1 + lift * s
         M2 = A2 - lift * c
         S = h * pphi - m_beta * (pr * u * s2 + pphi * c2 / u)
-        return (H0, H, pphi, A1, A2, M1, M2, S, h * M1 - n1_shift, h * M2, h,
-                minus_two_m * H0 * pphi, (pphi * pphi / r - m_beta) * c + (pr * pphi + lift) * s)
+        if private:
+            return (H0, H, pphi, A1, A2, M1, M2, S, h * M1 - n1_shift, h * M2, h,
+                    minus_two_m * H0 * pphi, (pphi * pphi / r - m_beta) * c + (pr * pphi + lift) * s)
+        return H0, H, pphi, A1, A2, M1, M2, S, h * M1 - n1_shift, h * M2, h
 
     def values(r, phi, pr, pphi):
         return at(r, phi, pr, pphi, cos(phi), sin(phi), cos(phi / 2), sin(phi / 2), sqrt(r))
@@ -180,26 +192,37 @@ def _key(obs):
     raise TypeError(f"not an observable: {obs!r}")
 
 
+def _coords(point):
+    """(r, phi, p_r, p_phi) of a PhasePoint, or of a raw tuple that passes PhasePoint's checks."""
+    return (point if isinstance(point, PhasePoint) else PhasePoint(*point)).astuple()
+
+
 def evaluate(obs, params: KeplerParams, point: PhasePoint) -> float:
     """Closed-form value of an observable (by name or raw closure) at a point."""
-    key, x = _key(obs), point.astuple()
-    return key(*x) if callable(key) else _bind(params)[0](*x)[key]
+    key, x = _key(obs), _coords(point)
+    return key(*x) if callable(key) else _bind(params, False)[0](*x)[key]
 
 
 def _slots(keys):
-    """(closures, slot): the closures among keys, and slot(key), its index in the stencil tuple."""
-    index = {fn: _M1_BETA + 1 + i for i, fn in enumerate(dict.fromkeys(filter(callable, keys)))}
-    return tuple(index), lambda key: index.get(key, key)
+    """(closures, private, slot) for a list of keys: the closures among them, whether one
+    is a private slot, and slot(key), its index in the stencil tuple."""
+    private = _H0_L in keys or _M1_BETA in keys
+    first = _M1_BETA + 1 if private else len(OBSERVABLE_NAMES)
+    index = {fn: first + i for i, fn in enumerate(dict.fromkeys(filter(callable, keys)))}
+    return tuple(index), private, lambda key: index.get(key, key)
 
 
 def _partials(cols, key):
-    """Central-difference gradient of stencil slot key, from the stencil's point columns."""
-    return [(vp[key] - vm[key]) / dd for vp, vm, dd in cols]
+    """Central-difference gradient of stencil slot key over a block of points: four columns,
+    one per coordinate, from the stencil's (values(x + d e_i), values(x - d e_i), 2 d)
+    columns."""
+    return [[(vp[key] - vm[key]) / dd for vp, vm, dd in col] for col in cols]
 
 
 def _bracket(pf, pg):
-    """{f, g} from the gradients of f and g over (r, phi, pr, pphi)."""
-    return pf[0] * pg[2] - pf[2] * pg[0] + pf[1] * pg[3] - pf[3] * pg[1]
+    """{f, g} at each point of a block, from the gradient columns of f and g."""
+    return [a0 * b2 - a2 * b0 + a1 * b3 - a3 * b1
+            for a0, a1, a2, a3, b0, b1, b2, b3 in zip(*pf, *pg)]
 
 
 def _check_step(step):
@@ -210,8 +233,7 @@ def _check_step(step):
 
 def poisson(f, g, params: KeplerParams, point: PhasePoint, step: float = 1e-6) -> float:
     """{f, g} at one phase-space point via central finite differences."""
-    x = (point if isinstance(point, PhasePoint) else PhasePoint(*point)).astuple()
-    return poisson_fn(f, g, params, step)(*x)
+    return poisson_fn(f, g, params, step)(*_coords(point))
 
 
 def poisson_fn(f, g, params: KeplerParams, step: float = 1e-6):
@@ -222,12 +244,12 @@ def poisson_fn(f, g, params: KeplerParams, step: float = 1e-6):
     """
     _check_step(step)
     kf, kg = _key(f), _key(g)
-    closures, slot = _slots((kf, kg))
-    stencil, sf, sg = _bind(params)[1], slot(kf), slot(kg)
+    closures, _, slot = _slots([kf, kg])
+    stencil, sf, sg = _bind(params, False)[1], slot(kf), slot(kg)
 
     def value(r, phi, pr, pphi):
-        cols = stencil((r, phi, pr, pphi), step, closures)[1]
-        return _bracket(_partials(cols, sf), _partials(cols, sg))
+        cols = [(col,) for col in stencil((r, phi, pr, pphi), step, closures)[1]]
+        return _bracket(_partials(cols, sf), _partials(cols, sg))[0]
 
     return value
 
@@ -236,18 +258,17 @@ def sample_points(samples: int, seed: int):
     """Deterministic sample of valid phase points, away from r = 0 and the cut."""
     if as_int(samples, "samples") < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
-    rng = random.Random(as_int(seed, "seed"))
-    r_lo, r_hi = _DOMAIN["r"]
-    p_lo, p_hi = _DOMAIN["p"]
-    margin = _DOMAIN["phi_margin"]
+    rand = random.Random(as_int(seed, "seed")).random
+    # each coordinate is lo + (hi - lo) * rand(), the formula of Random.uniform(lo, hi)
+    (r_lo, r_hi), (p_lo, p_hi) = _DOMAIN["r"], _DOMAIN["p"]
+    f_lo, f_hi = -math.pi + _DOMAIN["phi_margin"], math.pi - _DOMAIN["phi_margin"]
+    r_span, f_span, p_span, pphi_min = r_hi - r_lo, f_hi - f_lo, p_hi - p_lo, _DOMAIN["pphi_min"]
     pts = []
     for _ in range(samples):
-        r = rng.uniform(r_lo, r_hi)
-        phi = rng.uniform(-math.pi + margin, math.pi - margin)
-        pr = rng.uniform(p_lo, p_hi)
-        pphi = rng.uniform(p_lo, p_hi)
-        while abs(pphi) < _DOMAIN["pphi_min"]:
-            pphi = rng.uniform(p_lo, p_hi)
+        r, phi, pr = r_lo + r_span * rand(), f_lo + f_span * rand(), p_lo + p_span * rand()
+        pphi = p_lo + p_span * rand()
+        while abs(pphi) < pphi_min:
+            pphi = p_lo + p_span * rand()
         pts.append((r, phi, pr, pphi))
     return pts
 
@@ -295,36 +316,44 @@ def _run_identities(identities, params, points, tol, step):
     """Worst relative residual of each (name, f, g, terms) row over points.
 
     A row over observable keys (see _key) states {f, g} = sum float(c) *
-    h(x)**p * X(x) over its (c, p, X) terms.  The loop is point-major: at each
-    point one stencil (see _bind), closures in its trailing slots, gives every
-    gradient and value, each power of h is taken once, and all rows share them.
+    h(x)**p * X(x) over its (c, p, X) terms.  The loop is identity-major over
+    blocks of at most _BLOCK points: the stencil (see _bind), closures in its
+    trailing slots, is evaluated at each point of a block in turn; then each
+    distinct operand's gradient, each power of h and each value a row reads is
+    taken once as a column over the block, and each row's residuals over the
+    block come from one pass over those columns.  A row's worst residual is NaN
+    once any residual is NaN, else the largest.
     """
     _refuse_bool(tol, "tol")
     if not 0 <= tol < math.inf:
         raise InputError(f"tol must be finite and nonnegative, got {tol}")
     _check_step(step)
-    stencil, h = _bind(params)[1], _key("h")
-    closures, slot = _slots(key for _, f, g, terms in identities
-                            for key in (f, g, *(x for *_, x in terms)))
+    closures, private, slot = _slots([key for _, f, g, terms in identities
+                                      for key in (f, g, *(x for *_, x in terms))])
+    stencil, h, isnan = _bind(params, private)[1], _key("h"), math.isnan
     rows = [(name, slot(f), slot(g), [(float(c), p, slot(x)) for c, p, x in terms])
             for name, f, g, terms in identities]
-    operands = {key: None for _, f, g, _ in rows for key in (f, g)}
+    operands = dict.fromkeys(key for _, f, g, _ in rows for key in (f, g))
+    terms_read = dict.fromkeys(key for *_, terms in rows for *_, key in terms)
     powers = {p for *_, terms in rows for _, p, _ in terms}
     worst = [0.0] * len(rows)
-    for x in points:
-        val, cols = stencil(x, step, closures)
+    for start in range(0, len(points), _BLOCK):
+        block = [stencil(x, step, closures) for x in points[start:start + _BLOCK]]
+        vals = [val for val, _ in block]
+        cols = list(zip(*[cols for _, cols in block]))  # per coordinate, over the block
         grad = {key: _partials(cols, key) for key in operands}
-        hv = val[h]
-        hp = {p: hv ** p for p in powers}
+        size = {key: [abs(val[key]) for val in vals] for key in operands}
+        column = {key: [val[key] for val in vals] for key in terms_read}
+        hv = [val[h] for val in vals]
+        hp = {p: [x ** p for x in hv] for p in powers}
         for i, (_, f, g, terms) in enumerate(rows):
-            lhs = _bracket(grad[f], grad[g])
-            want = 0  # summed from 0, left to right, as sum() adds a row of floats
+            want = [0] * len(vals)  # summed from 0, left to right, as sum() adds a row of floats
             for c, p, key in terms:
-                want += c * hp[p] * val[key]
-            scale = max(1.0, abs(lhs), abs(want), abs(val[f]), abs(val[g]))
-            res = abs(lhs - want) / scale
-            if res > worst[i] or math.isnan(res):  # once NaN, worst stays NaN
-                worst[i] = res
+                want = [w + c * x * v for w, x, v in zip(want, hp[p], column[key])]
+            res = [abs(lhs - w) / max(1.0, abs(lhs), abs(w), a, b)
+                   for lhs, w, a, b in zip(_bracket(grad[f], grad[g]), want, size[f], size[g])]
+            if not isnan(worst[i]):  # once NaN, worst stays NaN
+                worst[i] = math.nan if any(map(isnan, res)) else max(worst[i], *res)
     return [IdentityResult(row[0], len(points), res, res <= tol)
             for row, res in zip(rows, worst)]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,15 @@ def test_eval_examples():
     assert evaluate("H0", KeplerParams(1, 1, 0.5), x) == pytest.approx(-0.5)
     for pt in points():
         assert evaluate("L", PARAMS, pt) == pt.pphi
+
+
+def test_evaluate_takes_a_raw_point_through_the_phase_point_checks():
+    # evaluate read point.astuple() and raised AttributeError on a tuple that poisson accepts
+    x = (1.0, 0.3, 0.2, 0.5)
+    for name in ("H", "N1"):
+        assert evaluate(name, PARAMS, x) == evaluate(name, PARAMS, PhasePoint(*x))
+    with pytest.raises(InputError, match="r must be positive"):
+        evaluate("H", PARAMS, (0.0, 0.3, 0.2, 0.5))
 
 
 def test_observable_wrapper():
@@ -412,13 +422,16 @@ def fresh_bind():
 @pytest.mark.parametrize("params", [PARAMS, PURE])
 def test_one_trig_sharing_stencil_per_sample(fresh_bind, monkeypatch, params):
     # per sample: cos, sin of phi and phi/2 at the centre and at phi +- d (12
-    # calls), sqrt at r and r +- d (3 calls), and one gradient read for each
-    # of the 10 distinct operands
+    # calls), sqrt at r and r +- d (3 calls); per block of samples, one
+    # gradient read for each of the 10 distinct operands
     counts = dict.fromkeys(("trig", "sqrt", "partials"), 0)
+    widths = set()  # slots in the stencil tuples that the gradients read
 
     def counting(group, fn):
         def wrapper(*args):
             counts[group] += 1
+            if group == "partials":
+                widths.add(len(args[0][0][0][0]))
             return fn(*args)
         return wrapper
 
@@ -427,4 +440,30 @@ def test_one_trig_sharing_stencil_per_sample(fresh_bind, monkeypatch, params):
     monkeypatch.setattr(fresh_bind, "_partials", counting("partials", fresh_bind._partials))
     report = identity_suite(params, samples=20, seed=4)
     assert report.all_pass
-    assert counts == {"trig": 12 * 20, "sqrt": 3 * 20, "partials": 10 * 20}
+    blocks = -(-20 // fresh_bind._BLOCK)
+    assert counts == {"trig": 12 * 20, "sqrt": 3 * 20, "partials": 10 * blocks}
+    # the suite fills the two private slots; a cross-check reads only the 11
+    # named observables, and a closure operand takes the slot after them
+    assert widths == {13}
+    widths.clear()
+    cross_check_loop_spec(L1, L1_BINDING, params, samples=3)
+    assert widths == {11}
+    widths.clear()
+    n1 = lambda r, phi, pr, pphi: evaluate("N1", params, PhasePoint(r, phi, pr, pphi))
+    cross_check_loop_spec(L1, {"M2": "M2", "S": "S", "N1": n1}, params, samples=3)
+    assert widths == {12}
+
+
+def test_identity_suite_memory_is_bounded_by_the_block():
+    # the traced peak above the sample points' own: about 0.36 MB with blocks
+    # of 32 points, and 32 MB when all 5000 points' stencils were held at once
+    tracemalloc.start()
+    try:
+        sample_points(5000, 2)
+        points_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        identity_suite(PARAMS, samples=5000, seed=2)
+        suite_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert suite_peak - points_peak < 2_000_000

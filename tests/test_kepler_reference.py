@@ -2,13 +2,15 @@
 
 The references below are the earlier implementation: one nested closure per
 observable (N1 calls h, which calls H, which calls H0), a central-difference
-gradient taken per operand per sample point, and the sample loop over those
-closures.  The oracle evaluates every named observable together, so the
-values, the brackets and every report must equal the references exactly,
-float for float.
+gradient taken per operand per sample point, the sample loop over those
+closures, and sample points drawn with Random.uniform.  The oracle evaluates
+every named observable together and runs one identity at a time over blocks
+of sample points, so the values, the brackets and every report must equal
+the references exactly, float for float.
 """
 
 import math
+import random
 
 import pytest
 
@@ -23,7 +25,7 @@ from loopalg import (
     poisson_fn,
     sample_points,
 )
-from loopalg.kepler import OBSERVABLE_NAMES, IdentityResult
+from loopalg.kepler import _BLOCK, OBSERVABLE_NAMES, IdentityResult, _key, _run_identities
 
 PARAM_SETS = (KeplerParams(1, 1, 0.5), KeplerParams(1, 1, 0), KeplerParams(2, 0.5, 0.75),
               KeplerParams(0.3, 2.5, -1.7))
@@ -77,6 +79,21 @@ def reference_observables(params):
         "H0": H0, "H": H, "h": h, "L": L, "A1": A1, "A2": A2,
         "M1": M1, "M2": M2, "S": S, "N1": N1, "N2": N2,
     }
+
+
+def reference_sample_points(samples, seed):
+    """Phase points drawn coordinate by coordinate with Random.uniform."""
+    rng = random.Random(seed)
+    pts = []
+    for _ in range(samples):
+        r = rng.uniform(0.5, 3.0)
+        phi = rng.uniform(-math.pi + 0.2, math.pi - 0.2)
+        pr = rng.uniform(-2.0, 2.0)
+        pphi = rng.uniform(-2.0, 2.0)
+        while abs(pphi) < 0.1:
+            pphi = rng.uniform(-2.0, 2.0)
+        pts.append((r, phi, pr, pphi))
+    return pts
 
 
 def reference_partials(fn, x, step):
@@ -150,7 +167,8 @@ def reference_suite(params, samples, seed, tol=1e-5, step=1e-6):
     rows = [(name, bind(f), bind(g), [(c, p, bind(x)) for c, p, x in terms])
             for name, f, g, terms in table]
     rows.append(("{H,M1 with m*beta radial term}=0", F["H"], M1_beta_variant, ()))
-    *results, variant = reference_run(rows, F["h"], sample_points(samples, seed), tol, step)
+    *results, variant = reference_run(rows, F["h"], reference_sample_points(samples, seed), tol,
+                                      step)
     return results, variant
 
 
@@ -164,7 +182,7 @@ def reference_cross(spec, binding, params, samples, seed, tol=1e-5, step=1e-6):
                            for k, c, p in terms)
         rows.append((f"{{{names[i]},{names[j]}}}={label}", bound[names[i]], bound[names[j]],
                      [(c, p, bound[names[k]]) for k, c, p in terms]))
-    return reference_run(rows, F["h"], sample_points(samples, seed), tol, step)
+    return reference_run(rows, F["h"], reference_sample_points(samples, seed), tol, step)
 
 
 def raw(name, params):
@@ -182,6 +200,55 @@ BINDINGS = (
 
 
 # -- tests -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("samples, seed", [(1, 0), (7, 3), (_BLOCK + 1, 11), (250, 42),
+                                           (40, 2 ** 40 + 9)])
+def test_sample_points_match_the_uniform_reference(samples, seed):
+    assert sample_points(samples, seed) == reference_sample_points(samples, seed)
+
+
+@pytest.mark.parametrize("samples", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_reports_across_block_boundaries_match_reference(samples):
+    for params in PARAM_SETS[:3:2]:
+        report = identity_suite(params, samples=samples, seed=8)
+        results, variant = reference_suite(params, samples, 8)
+        assert list(report.identities) == results
+        assert report.radial_term["m_beta_variant_max_rel_residual"] == variant.max_rel_residual
+        for name, binding in BINDINGS:
+            spec = bundled_spec(name)
+            report = cross_check_loop_spec(spec, binding, params, samples=samples, seed=8)
+            assert list(report.identities) == reference_cross(spec, binding, params, samples, 8)
+
+
+def test_nan_in_the_last_block_fails_exactly_the_rows_that_read_it():
+    params, samples = PARAM_SETS[0], 2 * _BLOCK + 3
+    points = sample_points(samples, 5)
+    last = points[2 * _BLOCK:]
+    # no earlier sample's stencil comes near a point of the last block
+    assert not any(abs(x[0] - y[0]) < 1e-3 and abs(x[1] - y[1]) < 1e-3
+                   for x in points[:2 * _BLOCK] for y in last)
+    ref = reference_observables(params)
+
+    def broken(r, phi, pr, pphi):
+        if any(abs(r - y[0]) < 1e-3 and abs(phi - y[1]) < 1e-3 for y in last):
+            return math.nan
+        return ref["N1"](r, phi, pr, pphi)
+
+    table = [("{H,broken}=0", "H", broken, ()), ("{H,M1}=0", "H", "M1", ()),
+             ("{M2,S}=broken", "M2", "S", [(1, 0, broken)]),
+             ("{S,M1}=h*M2", "S", "M1", [(1, 1, "M2")]),
+             ("{N1,M2}=h*S", broken, "M2", [(1, 1, "S")])]
+    keyed = [(name, _key(f), _key(g), [(c, p, _key(x)) for c, p, x in terms])
+             for name, f, g, terms in table]
+    report = _run_identities(keyed, params, points, 1e-5, 1e-6)
+    assert [math.isnan(res.max_rel_residual) for res in report] == [True, False, True, False, True]
+    assert [res.passed for res in report] == [False, True, False, True, False]
+    rows = [(name, ref.get(f, f), ref.get(g, g), [(c, p, ref.get(x, x)) for c, p, x in terms])
+            for name, f, g, terms in table]
+    want = reference_run(rows, ref["h"], points, 1e-5, 1e-6)
+    assert [res for res in report if res.passed] == [res for res in want if res.passed]
+    assert [math.isnan(res.max_rel_residual) for res in want] == [True, False, True, False, True]
+
 
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_evaluate_matches_reference_closures(params):
