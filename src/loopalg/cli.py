@@ -53,6 +53,8 @@ def _read_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, deep nesting, a too long int
+        raise InputError(f"{path}: cannot decode JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: top-level JSON value must be an object")
     return data

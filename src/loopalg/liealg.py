@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import linalg
-from .scalars import (InputError, PuiseuxScalar, Rejected, _as_entry, _as_row,
+from .scalars import (InputError, PuiseuxScalar, Rejected, _as_entry, _as_row, _sign_changes,
                       add_term, as_fraction, as_int, eps_power, scale_to_integers)
 
 CLASS_LABELS = ("so3", "so21", "e2", "e11", "heisenberg", "abelian3", "other")
@@ -424,7 +424,7 @@ def classify3(alg: LieAlgebra) -> str:
     the characteristic polynomial x**3 - e1 x**2 + e2 x - e3 of a symmetric M
     are its eigenvalues, all real, so Descartes' rule of signs counts them
     exactly: the sign changes of (1, -e1, e2, -e3) are the positive ones and
-    those of (1, e1, e2, e3) the negative ones, zeros skipped.
+    those of (1, e1, e2, e3) the negative ones, counted as ``signature`` counts.
     """
     if alg.dim != 3:
         raise WrongDimension(f"classify3 needs dimension 3, got {alg.dim}")
@@ -438,8 +438,7 @@ def classify3(alg: LieAlgebra) -> str:
     e1 = a + d + f  # tr M, the sum of the principal 2x2 minors and det M
     e2 = a * d + a * f + d * f - b * b - c * c - e * e
     e3 = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
-    signs = [[x > 0 for x in coeffs if x] for coeffs in ((1, -e1, e2, -e3), (1, e1, e2, e3))]
-    pos, neg = [sum([x != y for x, y in zip(z, z[1:])]) for z in signs]
+    pos, neg = _sign_changes((1, -e1, e2, -e3)), _sign_changes((1, e1, e2, e3))
     return _BIANCHI_LABELS[max(pos, neg), min(pos, neg)]
 
 

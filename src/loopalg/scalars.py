@@ -11,12 +11,14 @@ The limit ``eps -> 0`` is always taken from the positive side.  Sign branches
 rational value before any structural analysis, never by evaluating fractional
 powers of negative numbers.  One exact rule, :func:`eps_power`, gives eps**q as a
 pair of ints from the int pair of eps, with a root only for a fractional q.
+The inertia of a symmetric matrix is read by Descartes' rule of signs off its
+characteristic polynomial, with no elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 
 class InputError(ValueError):
@@ -41,11 +43,14 @@ class NotSymmetric(Rejected):
 
 def as_fraction(value: Fraction | int | str) -> Fraction:
     """Coerce ints, strings like "3/2" and Fractions to Fraction; a float or bool is a
-    TypeError, and a string that is no rational (or has a zero denominator) an InputError."""
+    TypeError, and a string that is no rational (or has a zero denominator) an InputError.
+    A digit separator ("1_000") is refused on every Python version, as 3.10 does."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
+            if isinstance(value, str) and "_" in value:  # Fraction reads "1_0" from 3.11 on
+                raise ValueError
             return Fraction(value)
         except ValueError:
             raise InputError(f"not a rational: {value!r}") from None
@@ -271,11 +276,11 @@ class PuiseuxScalar(FrozenRecord):
 def signature(form) -> tuple[int, int, int]:
     """Inertia (positives, negatives, zeros) of a symmetric rational matrix.
 
-    Computed by exact congruence diagonalization in integers (no floating
-    point), so the result is invariant under any exact change of basis.  A
-    matrix with a non-int entry is scaled to integers by the lcm of its
-    denominators (a positive scale, which keeps the inertia; an all-int one
-    is eliminated as given) and handed to :func:`_inertia`.
+    Read exactly (no floating point) off the signs of its characteristic
+    polynomial by :func:`_inertia`, so the result is invariant under any exact
+    change of basis.  A matrix with a non-int entry is scaled to integers by
+    the lcm of its denominators (a positive scale, which keeps the inertia; an
+    all-int one is passed as given).
     """
     m = [_as_row(row) for row in form]
     n = len(m)
@@ -290,40 +295,37 @@ def signature(form) -> tuple[int, int, int]:
 
 
 def _inertia(a) -> tuple[int, int, int]:
-    """Inertia of a symmetric int matrix, given as a list of row lists it consumes.
+    """Inertia of a symmetric int matrix by Descartes' rule of signs.
 
-    Each pivot piv replaces the trailing block by
-    sgn(piv) * (piv * a_ij - a_ik * a_kj), which is |piv| times the Schur
-    complement, divided by the gcd of its entries; both scalings are
-    positive, so neither changes the inertia.
+    Its eigenvalues are the roots of p(x) = det(xI - A), all real, so the sign
+    changes of p's coefficients count the positive ones exactly, and those of
+    p(-x), each c_k times (-1)**k, the negative ones.
+    """
+    p = _charpoly(a)
+    pos = _sign_changes(p)
+    neg = _sign_changes([-c if k % 2 else c for k, c in enumerate(p)])
+    return pos, neg, len(a) - pos - neg
+
+
+def _charpoly(a) -> list:
+    """The coefficients [1, c_1, ..., c_n] of det(xI - A) for a square int matrix.
+
+    Faddeev-LeVerrier: M_1 = I, c_k = -tr(A M_k) / k, M_(k+1) = A M_k + c_k I.
+    Each division by k is exact, so the recurrence needs only +, * and //.
     """
     n = len(a)
-    pos = rank = 0
-    while a:
-        if not a[0][0]:
-            # prefer swapping in a later nonzero diagonal entry
-            j = next((j for j in range(1, len(a)) if a[j][j]), None)
-            if j is not None:
-                a[0], a[j] = a[j], a[0]
-                for row in a:
-                    row[0], row[j] = row[j], row[0]
-            else:
-                i = next((i for i in range(1, len(a)) if a[i][0]), None)
-                if i is None:  # a zero row and column: one zero of the inertia
-                    a = [row[1:] for row in a[1:]]
-                    continue
-                # all remaining diagonal entries vanish: row/col addition
-                # makes a[0][0] = 2*a[i][0] != 0 and stays congruent
-                a[0] = [x + y for x, y in zip(a[0], a[i])]
-                for row in a:
-                    row[0] += row[i]
-        piv = a[0][0]
-        s = 1 if piv > 0 else -1
-        pos += s > 0
-        rank += 1
-        top = a[0][1:]
-        a = [[s * (piv * x - row[0] * y) for x, y in zip(row[1:], top)] for row in a[1:]]
-        g = gcd(*[x for row in a for x in row])
-        if g > 1:
-            a = [[x // g for x in row] for row in a]
-    return pos, rank - pos, n - rank
+    coeffs, m = [1], [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*m))
+        m = [[sum([x * y for x, y in zip(row, col)]) for col in cols] for row in a]
+        c = -sum([m[i][i] for i in range(n)]) // k
+        coeffs.append(c)
+        for i in range(n):
+            m[i][i] += c
+    return coeffs
+
+
+def _sign_changes(coeffs) -> int:
+    """Sign changes along a coefficient sequence, zeros skipped (Descartes' count)."""
+    signs = [x > 0 for x in coeffs if x]
+    return sum([x != y for x, y in zip(signs, signs[1:])])

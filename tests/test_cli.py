@@ -437,3 +437,33 @@ def test_every_exception_class_has_an_error_category():
         assert issubclass(cls, ValueError), cls
     assert not issubclass(scalars.InputError, scalars.Rejected)
     assert not issubclass(scalars.Rejected, scalars.InputError)
+
+
+# bytes that JSON cannot decode although they hold no syntax error; the long
+# integer is an "i", so a Python with no int/str digit limit refuses it as well
+UNDECODABLE_FILES = {
+    "bad_utf8": b'{"dim": 3, "names": ["X\xff", "Y", "Z"]}',
+    "deep_array": b"[" * 100000 + b"]" * 100000,
+    "long_integer": b'{"dim": 3, "brackets": [{"i": ' + b"9" * 5000 + b', "j": 1, "terms": []}]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE_FILES))
+def test_an_undecodable_input_file_exits_64_naming_it(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNDECODABLE_FILES[name])
+    code, out, err = run(capsys, "validate", str(path))
+    assert _rejected(code, out, err), err
+    assert err.startswith(f"error: {path}: cannot decode JSON: ") and "Traceback" not in err
+
+
+def test_a_digit_separator_is_no_rational_on_any_python(tmp_path, capsys):
+    # Fraction reads "1_000" from Python 3.11 on; as_fraction refuses it everywhere, as 3.10 does
+    path = tmp_path / "separator.json"
+    path.write_text(json.dumps({**_SPEC, "brackets": [_with(_SPEC_TERM, "c", "1_0", term=True)]}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert _rejected(code, out, err) and "not a rational: '1_0'" in err
+    for text in ("1_000", "1_0/3"):
+        code, out, err = run(capsys, "quotient", "h2.json", "--eps", text)
+        assert _rejected(code, out, err), text
+        assert err.strip() == f"error: cannot parse eps '{text}': not a rational: '{text}'"

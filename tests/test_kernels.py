@@ -464,17 +464,66 @@ def test_integer_inverse_of_an_int_matrix_skips_the_rational_scaling(monkeypatch
 
 # -- signature -------------------------------------------------------------------------
 
+def shaped_symmetric(rng):
+    """Matrices with repeated and zero eigenvalues: rank-1 +-v v^T and P D P^T with
+    D over {-2, 0, 3}, each with the inertia it is built to have."""
+    for n in range(1, 9):
+        for _ in range(3):
+            v = [rng.randint(-3, 3) for _ in range(n)]
+            s = rng.choice((1, -1))
+            rank = int(any(v))
+            yield [[s * x * y for y in v] for x in v], (rank * (s > 0), rank * (s < 0), n - rank)
+            d = [rng.choice((-2, 0, 3)) for _ in range(n)]
+            p = random_basis(rng, n)
+            pdp = [[sum(pi[k] * d[k] * pj[k] for k in range(n)) for pj in p] for pi in p]
+            yield pdp, (sum(x > 0 for x in d), sum(x < 0 for x in d), d.count(0))
+
+
 def test_signature_matches_fraction_congruence():
     rng = random.Random(1212)
     seen = set()
-    for _ in range(1500):
-        n = rng.randint(0, 8)
-        m = random_symmetric(rng, n)
+    cases = [(random_symmetric(rng, rng.randint(0, 8)), None) for _ in range(1500)]
+    for m, built in cases + list(shaped_symmetric(random.Random(2424))):
+        n = len(m)
         sig = signature(m)
+        assert built in (None, sig), m
         assert sig == ref_signature(m), m
         seen.add((sig[2] > 0, n > 0 and not any(m[i][i] for i in range(n))))
     # singular and regular matrices, with and without an all-zero diagonal
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def ref_det(m):
+    """Determinant over Fraction by Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        r = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def test_charpoly_matches_determinants():
+    rng = random.Random(3030)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        if rng.random() < 0.5:
+            a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        else:  # 420 clears every denominator random_entry draws
+            a = [[int(x * 420) for x in row] for row in random_symmetric(rng, n)]
+        coeffs = scalars._charpoly(a)
+        assert len(coeffs) == n + 1 and all(type(c) is int for c in coeffs), a
+        for t in range(-2, n + 2):
+            shifted = [[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a)]
+            assert sum(c * t ** (n - k) for k, c in enumerate(coeffs)) == ref_det(shifted), (a, t)
 
 
 def test_signature_of_a_large_matrix_matches_and_stays_fast():
@@ -632,7 +681,7 @@ def test_classify3_labels_every_small_symmetric_bianchi_matrix_by_its_inertia():
         m = [[a, b, c], [b, d, e], [c, e, f]]
         alg = LieAlgebra(3, {(0, 1): dict(enumerate(m[2])), (1, 2): dict(enumerate(m[0])),
                              (0, 2): {k: -x for k, x in enumerate(m[1])}})
-        pos, neg, _ = scalars._inertia([row[:] for row in m])
+        pos, neg, _ = ref_signature(m)
         assert classify3(alg) == liealg._BIANCHI_LABELS[max(pos, neg), min(pos, neg)], m
         count += 1
     assert count == 729 + 2000

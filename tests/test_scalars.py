@@ -14,7 +14,7 @@ from loopalg import (
     Rejected,
     signature,
 )
-from loopalg.scalars import MAX_POWER_BITS
+from loopalg.scalars import MAX_POWER_BITS, as_fraction
 
 P = PuiseuxScalar
 
@@ -105,6 +105,12 @@ def test_rational_arithmetic_is_exact():
     for _ in range(200):
         a = Fraction(rng.randint(1, 10**12), rng.randint(1, 10**12))
         assert a * (1 / a) == 1
+
+
+def test_a_digit_separator_is_no_rational():
+    for text in ("1_000", "1_0/3"):
+        with pytest.raises(InputError, match=f"^not a rational: '{text}'$"):
+            as_fraction(text)
 
 
 def test_signature_examples():
