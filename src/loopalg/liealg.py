@@ -210,26 +210,11 @@ class LieAlgebra:
                 for k, qc in self._rows().get((a, b), {}).items()}
 
     def validate(self):
-        """Check the Jacobi identity exactly on all basis triples, in ints over ``_den``."""
-        # adj[a, b] lists the terms (e, q, c) of [X_a, X_b] = sum c / _den eps**q X_e
-        adj: dict[tuple[int, int], list] = {}
-        for q, layer in self._layers.items():
-            for (i, j, k), c in layer.items():
-                adj.setdefault((i, j), []).append((k, q, c))
-                adj.setdefault((j, i), []).append((k, q, -c))
-        for i in range(self._dim):
-            for j in range(i + 1, self._dim):
-                for k in range(j + 1, self._dim):
-                    res: dict[int, dict] = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for d, q1, c1 in adj.get((b, c), ()):
-                            for e, q2, c2 in adj.get((a, d), ()):
-                                add_term(res.setdefault(e, {}), q1 + q2, c1 * c2)
-                    residual = {e: PuiseuxScalar([(q, Fraction(r, self._den ** 2))
-                                                  for q, r in qc.items()])
-                                for e, qc in res.items() if qc}
-                    if residual:
-                        raise JacobiViolation(i, j, k, residual)
+        """Check the Jacobi identity exactly: :func:`_jacobi_failure` on the stored layers."""
+        if failure := _jacobi_failure(self._layers):
+            (i, j, k), res = failure
+            raise JacobiViolation(i, j, k, {e: PuiseuxScalar([
+                (q, Fraction(n, self._den ** 2)) for q, n in qn.items()]) for e, qn in res.items()})
 
     @property
     def is_symbolic(self) -> bool:
@@ -358,6 +343,28 @@ def _canonical(den, layers) -> tuple[int, dict]:
     g = gcd(den, *[n for ints in layers.values() for n in ints.values()])
     return (den, layers) if g == 1 else (
         den // g, {q: {key: n // g for key, n in ints.items()} for q, ints in layers.items()})
+
+
+def _jacobi_failure(layers):
+    """((i, j, k), {e: {q: n}}), the least basis triple failing Jacobi and its residual (n / den**2
+    the eps**q coefficient of X_e), for layers {q: {(i, j, k): n}} over den; None if it holds.
+    adj[a][b] lists the terms (e, q, c) of [X_a, X_b].  Only the triples {a, b, c} with a term X_d
+    of [X_b, X_c] and a nonzero [X_a, X_d] are summed, in ascending order: no other has a term."""
+    adj: dict[int, dict[int, list]] = {}
+    for q, layer in layers.items():
+        for (i, j, k), c in layer.items():
+            adj.setdefault(i, {}).setdefault(j, []).append((k, q, c))
+            adj.setdefault(j, {}).setdefault(i, []).append((k, q, -c))
+    triples = {tuple(sorted((a, b, c))) for b, row in adj.items() for c, terms in row.items()
+               for d, _, _ in terms for a in adj.get(d, ()) if a != b and a != c}
+    for i, j, k in sorted(triples):
+        res: dict[int, dict] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for d, q1, c1 in adj.get(b, {}).get(c, ()):
+                for e, q2, c2 in adj.get(a, {}).get(d, ()):
+                    add_term(res.setdefault(e, {}), q1 + q2, c1 * c2)
+        if res := {e: qn for e, qn in res.items() if qn}:
+            return (i, j, k), res
 
 
 def _scale_table(table) -> tuple[int, dict]:

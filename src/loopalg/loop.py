@@ -32,7 +32,7 @@ import json
 import os
 from fractions import Fraction
 
-from .liealg import (JacobiViolation, LieAlgebra, _bracket_terms, _from_json, _scale_table,
+from .liealg import (LieAlgebra, _bracket_terms, _from_json, _jacobi_failure, _scale_table,
                      _shape, _to_json)
 from .scalars import FrozenRecord, InputError, Rejected, _as_entry, add_term, as_fraction, as_int
 
@@ -194,17 +194,12 @@ class LoopSpec:
         return out
 
     def _check_jacobi(self):
-        # levels only shift under the bracket, exactly as powers of eps
-        # multiply, so Jacobi on the level-0 quotient certifies every level
-        try:
-            factor_algebra(self, [0] * self.n_generators).validate()
-        except JacobiViolation as exc:
-            # grades make each generator appear at one level in the residual
-            res = {(k, int(q)): c for k, s in exc.residual.items() for q, c in s.terms}
-            i, j, k = exc.triple
-            raise SpecJacobiViolation(
-                f"Jacobi identity fails on basic triple ({i},{j},{k}): {res}"
-            ) from exc
+        # levels only shift under the bracket, exactly as powers of eps multiply, so Jacobi on
+        # the level-0 quotient certifies every level; grades put each X_e at one residual level
+        if failure := _jacobi_failure(_quotient_layers(self, [0] * self.n_generators)):
+            (i, j, k), res = failure
+            res = {(e, q): Fraction(n, self._den ** 2) for e, qn in res.items() for q, n in qn.items()}
+            raise SpecJacobiViolation(f"Jacobi identity fails on basic triple ({i},{j},{k}): {res}")
 
     # -- serialization -----------------------------------------------------
 
