@@ -114,6 +114,16 @@ def _emit(args, data, human):
         print(human)
 
 
+def _emit_algebra(args, alg: LieAlgebra, extra=None, tail=""):
+    """Print {"algebra": ..., **extra} or the algebra's table followed by ``tail``.  A
+    constant past Python's int->str digit limit cannot be written in either form: InputError."""
+    try:
+        data = {"algebra": alg.to_json(), **(extra or {})}
+    except ValueError as exc:  # raised only by str() of a too long int
+        raise InputError(f"a structure constant is too long to print: {exc}") from None
+    _emit(args, data, _algebra_lines(alg) + tail)
+
+
 def _algebra_lines(alg: LieAlgebra) -> str:
     lines = [f"dim {alg.dim}; generators: {', '.join(alg.names)}"]
     table = alg.brackets()
@@ -154,9 +164,9 @@ def _cmd_classify(args):
 def _cmd_contract(args):
     alg = _load_algebra(args.file)
     weights = _parse_list(args.weights, "weights", as_fraction)
-    out = contract(alg, weights)
-    human = _algebra_lines(out) + f"\nclassic Inonu-Wigner weights: {is_classic_iw(weights)}"
-    _emit(args, {"algebra": out.to_json(), "classic_iw": is_classic_iw(weights)}, human)
+    classic = is_classic_iw(weights)
+    _emit_algebra(args, contract(alg, weights), {"classic_iw": classic},
+                  f"\nclassic Inonu-Wigner weights: {classic}")
     return OK
 
 
@@ -164,7 +174,7 @@ def _cmd_quotient(args):
     spec = _load_spec(args.file)
     levels = None if args.levels is None else _parse_list(args.levels, "levels", int)
     alg = _at_eps(factor_algebra(spec, levels), args.eps)
-    _emit(args, {"algebra": alg.to_json()}, _algebra_lines(alg))
+    _emit_algebra(args, alg)
     return OK
 
 

@@ -17,8 +17,10 @@ divide the result once by the gcd of all its entries; a Fraction is built
 only where a constant is handed out as a rational, and a
 :class:`~loopalg.scalars.PuiseuxScalar` only where it is handed out with its
 powers of eps.  Every direct construction (``from_json`` included) checks
-the Jacobi identity exactly, so every value of this type is a genuine Lie
-algebra (possibly depending on the parameter eps).  Operations whose results
+the Jacobi identity exactly, by one sparse walk over the nonzero brackets
+(:func:`_jacobi_failure`, which a ``LoopSpec`` runs on its level-0 layers
+too), so every value of this type is a genuine Lie algebra (possibly
+depending on the parameter eps).  Operations whose results
 are Lie algebras by construction -- basis changes, rescalings, substitutions
 of eps, contraction limits, matrix commutators, loop quotients -- build
 their layers directly and skip the re-check.
@@ -39,10 +41,13 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import linalg
-from .scalars import (InputError, PuiseuxScalar, Rejected, _as_entry, _as_row, _sign_changes,
-                      add_term, as_fraction, as_int, eps_power, scale_to_integers)
+from .scalars import (InputError, PuiseuxScalar, Rejected, _as_entry, _as_row, _show,
+                      _sign_changes, add_term, as_fraction, as_int, eps_power, scale_to_integers)
 
 CLASS_LABELS = ("so3", "so21", "e2", "e11", "heisenberg", "abelian3", "other")
+
+# The largest dimension an algebra or loop spec may declare, checked before anything is built
+MAX_DIM = 10_000
 
 
 class JacobiViolation(Rejected):
@@ -70,7 +75,8 @@ class ContractionUndefined(Rejected):
     def __init__(self, violations):
         self.violations = list(violations)
         detail = ", ".join(
-            f"({i},{j})->{k}: {wi}+{wj}-{wk} < 0" for i, j, k, wi, wj, wk in self.violations
+            f"({i},{j})->{k}: {_show(wi)}+{_show(wj)}-{_show(wk)} < 0"
+            for i, j, k, wi, wj, wk in self.violations
         )
         super().__init__(f"contraction undefined; violated triples: {detail}")
 
@@ -97,6 +103,8 @@ def _shape(dim, names, error=AlgebraFormatError) -> tuple[int, tuple[str, ...]]:
     dim = as_int(dim, "dim")
     if dim < 0:
         raise error("dimension must be nonnegative")
+    if dim > MAX_DIM:
+        raise error(f"dimension {dim} exceeds the bound of {MAX_DIM}")
     if names is None:
         names = [f"X{i}" for i in range(dim)]
     elif not isinstance(names, (list, tuple)):
@@ -349,19 +357,19 @@ def _jacobi_failure(layers):
     """((i, j, k), {e: {q: n}}), the least basis triple failing Jacobi and its residual (n / den**2
     the eps**q coefficient of X_e), for layers {q: {(i, j, k): n}} over den; None if it holds.
     adj[a][b] lists the terms (e, q, c) of [X_a, X_b].  Only the triples {a, b, c} with a term X_d
-    of [X_b, X_c] and a nonzero [X_a, X_d] are summed, in ascending order: no other has a term."""
+    of [X_b, X_c] and a nonzero [X_a, X_d] are summed, in ascending order: any other sums to 0."""
     adj: dict[int, dict[int, list]] = {}
     for q, layer in layers.items():
         for (i, j, k), c in layer.items():
             adj.setdefault(i, {}).setdefault(j, []).append((k, q, c))
             adj.setdefault(j, {}).setdefault(i, []).append((k, q, -c))
     triples = {tuple(sorted((a, b, c))) for b, row in adj.items() for c, terms in row.items()
-               for d, _, _ in terms for a in adj.get(d, ()) if a != b and a != c}
+               if b < c for d, _, _ in terms for a in adj.get(d, ()) if a != b and a != c}
     for i, j, k in sorted(triples):
         res: dict[int, dict] = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for d, q1, c1 in adj.get(b, {}).get(c, ()):
-                for e, q2, c2 in adj.get(a, {}).get(d, ()):
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):  # a, b and c all have brackets
+            for d, q1, c1 in adj[b].get(c, ()):
+                for e, q2, c2 in adj[a].get(d, ()):
                     add_term(res.setdefault(e, {}), q1 + q2, c1 * c2)
         if res := {e: qn for e, qn in res.items() if qn}:
             return (i, j, k), res

@@ -34,7 +34,8 @@ from fractions import Fraction
 
 from .liealg import (LieAlgebra, _bracket_terms, _from_json, _jacobi_failure, _scale_table,
                      _shape, _to_json)
-from .scalars import FrozenRecord, InputError, Rejected, _as_entry, add_term, as_fraction, as_int
+from .scalars import (FrozenRecord, InputError, Rejected, _as_entry, _show, add_term, as_fraction,
+                      as_int)
 
 DEFAULT_MAX_LEVEL = 8
 _BUNDLED = ("h2", "l1", "l2")
@@ -198,8 +199,9 @@ class LoopSpec:
         # the level-0 quotient certifies every level; grades put each X_e at one residual level
         if failure := _jacobi_failure(_quotient_layers(self, [0] * self.n_generators)):
             (i, j, k), res = failure
-            res = {(e, q): Fraction(n, self._den ** 2) for e, qn in res.items() for q, n in qn.items()}
-            raise SpecJacobiViolation(f"Jacobi identity fails on basic triple ({i},{j},{k}): {res}")
+            res = ", ".join(f"{(e, q)}: {_show(Fraction(n, self._den ** 2), repr)}"
+                            for e, qn in res.items() for q, n in qn.items())  # a dict's repr
+            raise SpecJacobiViolation(f"Jacobi identity fails on basic triple ({i},{j},{k}): {{{res}}}")
 
     # -- serialization -----------------------------------------------------
 

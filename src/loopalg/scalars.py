@@ -150,6 +150,16 @@ def scale_to_integers(rows) -> tuple[int, list[list[int]]]:
 MAX_POWER_BITS = 1 << 16
 
 
+def _show(x, text=str) -> str:
+    """text(x) of a rational, or its sign and size in bits when a part passes Python's
+    int->str digit limit (``sys.get_int_max_str_digits()``, 4300 by default)."""
+    try:
+        return text(x)
+    except ValueError:
+        n, d = x.numerator, x.denominator
+        return f"{'-' * (n < 0)}<{n.bit_length()}-bit/{d.bit_length()}-bit rational>"
+
+
 def eps_power(eps: Fraction, q, c) -> tuple[int, int]:
     """Exact eps**q = a / b as ints, b > 0, for rational eps and q; eps = 0 takes
     the eps -> 0+ limit.
@@ -162,18 +172,18 @@ def eps_power(eps: Fraction, q, c) -> tuple[int, int]:
     """
     if eps == 0 or q == 0:  # the eps -> 0+ limit, or eps**0 = 1
         if q < 0:
-            raise NegativeExponent(f"term {c}*eps^{q} diverges for eps -> 0")
+            raise NegativeExponent(f"term {_show(c)}*eps^{_show(q)} diverges for eps -> 0")
         return int(q == 0), 1
     a, b = eps.numerator, eps.denominator
     if max(abs(q.numerator), q.denominator) * (a.bit_length() + b.bit_length()) > MAX_POWER_BITS:
-        raise InputError(f"eps^({q}) at eps = {eps} exceeds the exact-power bound "
+        raise InputError(f"eps^({_show(q)}) at eps = {_show(eps)} exceeds the exact-power bound "
                          f"of {MAX_POWER_BITS} bits")
     if (n := q.denominator) > 1:
         if a < 0 and n % 2 == 0:
-            raise InexactPower(f"eps^({q}) is not real at eps = {eps}")
+            raise InexactPower(f"eps^({q}) is not real at eps = {_show(eps)}")
         ra, b = _int_nth_root(abs(a), n), _int_nth_root(b, n)
         if ra is None or b is None:
-            raise InexactPower(f"eps^({q}) is not rational at eps = {eps}")
+            raise InexactPower(f"eps^({q}) is not rational at eps = {_show(eps)}")
         a = ra if a > 0 else -ra
     if q < 0:  # (a / b)**q = (b / a)**|q|, the sign kept on the numerator
         a, b = (b if a > 0 else -b), abs(a)
@@ -264,12 +274,13 @@ class PuiseuxScalar(FrozenRecord):
             return "0"
         parts = []
         for q, c in self.terms:
+            c = _show(c)
             if q == 0:
-                parts.append(str(c))
+                parts.append(c)
             elif q == 1:
                 parts.append(f"{c}*eps")
             else:
-                parts.append(f"{c}*eps^{q}" if q.denominator == 1 else f"{c}*eps^({q})")
+                parts.append(f"{c}*eps^{_show(q)}" if q.denominator == 1 else f"{c}*eps^({_show(q)})")
         return " + ".join(parts).replace("+ -", "- ")
 
 

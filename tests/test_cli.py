@@ -1,4 +1,9 @@
+import copy
+import functools
 import json
+import operator
+import random
+import sys
 
 import pytest
 
@@ -467,3 +472,185 @@ def test_a_digit_separator_is_no_rational_on_any_python(tmp_path, capsys):
         code, out, err = run(capsys, "quotient", "h2.json", "--eps", text)
         assert _rejected(code, out, err), text
         assert err.strip() == f"error: cannot parse eps '{text}': not a rational: '{text}'"
+
+
+# -- Python's int->str digit limit and the dimension bound ------------------------------
+
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="this Python has no int->str digit limit")
+
+
+def _one_error_line(code, out, err, expected_code):
+    lines = err.splitlines()
+    return (code == expected_code and not out and len(lines) == 1
+            and lines[0].startswith("error: ") and "Traceback" not in err)
+
+
+_SPEC_AB_C = {"s": 2, "generators": [{"name": "A", "grade": 1}, {"name": "B", "grade": 1},
+                                     {"name": "C", "grade": 2}]}
+
+
+@needs_digit_limit
+def test_a_refusal_names_a_rational_past_the_digit_limit_by_its_size(tmp_path, capsys):
+    code, out, err = run(capsys, "quotient", "h2.json", "--eps", "1e100000")
+    assert _one_error_line(code, out, err, 64), err
+    assert err == ("error: eps^(1) at eps = <332193-bit/1-bit rational> exceeds the "
+                   f"exact-power bound of {scalars.MAX_POWER_BITS} bits\n")
+    path = tmp_path / "negative_q.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "c": "1", "q": "-1e5000"}]}]}))
+    code, out, err = run(capsys, "classify", str(path), "--eps", "0")
+    assert _one_error_line(code, out, err, 1), err
+    assert err == "error: term 1*eps^-<16610-bit/1-bit rational> diverges for eps -> 0\n"
+    # [X0,X1] = 10^3000 X2 and [X1,X2] = 10^3000 X1: the residual has 6001 digits
+    path = tmp_path / "long_residual.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "c": "1e3000"}]},
+        {"i": 1, "j": 2, "terms": [{"k": 1, "c": "1e3000"}]}]}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert _one_error_line(code, out, err, 1), err
+    assert err == ("error: Jacobi identity fails on triple (0,1,2); residual "
+                   "{2: PuiseuxScalar(<19932-bit/1-bit rational>)}\n")
+    path = tmp_path / "long_spec_residual.json"
+    path.write_text(json.dumps({**_SPEC_AB_C, "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "c": "1e3000", "hpow": 0}]},
+        {"i": 0, "j": 2, "terms": [{"k": 0, "c": "1e3000", "hpow": 1}]}]}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert _one_error_line(code, out, err, 1), err
+    assert err == ("error: Jacobi identity fails on basic triple (0,1,2): "
+                   "{(2, 1): <19932-bit/1-bit rational>}\n")
+    path = tmp_path / "heisenberg.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "c": "1"}]}]}))
+    code, out, err = run(capsys, "contract", str(path), "--weights", "0,0,1e5000")
+    assert _one_error_line(code, out, err, 1), err
+    assert err == ("error: contraction undefined; violated triples: "
+                   "(0,1)->2: 0+0-<16610-bit/1-bit rational> < 0\n")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_an_algebra_with_a_constant_past_the_digit_limit_is_refused_in_one_line(
+        tmp_path, capsys, fmt):
+    path = tmp_path / "long_constant.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "c": "1e5000"}]}]}))
+    limit = f"({sys.get_int_max_str_digits()} digits)"
+    for argv in (["quotient", "h2.json", "--eps", "1e5000"],
+                 ["contract", str(path), "--weights", "0,0,0"]):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert _one_error_line(code, out, err, 64), (argv, err)
+        assert err.startswith("error: a structure constant is too long to print: ") and limit in err
+    code, out, err = run(capsys, "quotient", "h2.json", "--eps", "1e4000", "--format", fmt)
+    assert code == 0 and not err
+
+
+def test_a_dimension_past_max_dim_is_refused_before_anything_is_built(tmp_path, capsys):
+    bound = liealg.MAX_DIM
+    path = tmp_path / "huge_dim.json"
+    path.write_text(json.dumps({"dim": bound + 1}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert _one_error_line(code, out, err, 64), err
+    assert err == f"error: dimension {bound + 1} exceeds the bound of {bound}\n"
+    with pytest.raises(liealg.AlgebraFormatError, match="exceeds the bound"):
+        liealg.LieAlgebra(bound + 1, {})
+    with pytest.raises(loop.SpecFormatError, match="exceeds the bound"):
+        loop.LoopSpec(1, [(f"G{i}", 0) for i in range(bound + 1)], {})
+    assert liealg.LieAlgebra(bound, {(0, 1): {bound - 1: 1}}).dim == bound
+
+
+# -- seeded fuzzing of every subcommand ---------------------------------------------------
+
+def _json_paths(node, path=()):
+    """(path, value) for every value inside a JSON document, the document itself excluded."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _json_paths(value, path + (key,))
+
+
+def _is_number(value):
+    if isinstance(value, str):
+        try:
+            scalars.as_fraction(value)
+        except ValueError:
+            return False
+        return True
+    return type(value) is int
+
+
+FUZZ_NUMBERS = ("0", "-1", "1e5000", *[str(10 ** k) for k in range(7)])
+
+
+FUZZ_KINDS = ("drop", "retype", "swap", "number")
+
+
+def _mutated(rng, data, kind):
+    """A copy of data with one seeded change of a kind: a field dropped or retyped, a
+    bracket's i and j swapped, or a number set to 0, -1, 10**k (k <= 6) or "1e5000"."""
+    data = copy.deepcopy(data)
+    paths = list(_json_paths(data))
+    entries = [v for _, v in paths if isinstance(v, dict) and "i" in v and "j" in v]
+    if kind == "swap" and entries:
+        entry = rng.choice(entries)
+        entry["i"], entry["j"] = entry["j"], entry["i"]
+        return data
+    if kind in ("swap", "number"):
+        path, value = rng.choice([(p, v) for p, v in paths if _is_number(v)])
+        new = rng.choice(FUZZ_NUMBERS)
+        new = new if isinstance(value, str) or new == "1e5000" else int(new)
+    else:
+        path, value = rng.choice(paths)
+        new = rng.choice([x for x in (None, True, 2.5, "2", [2], {"2": 2}) if x != value])
+    parent = functools.reduce(operator.getitem, path[:-1], data)
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return data
+
+
+def _fuzz_argv(rng, name, is_spec):
+    """A run of each subcommand that reads a file of this kind, with seeded options."""
+    eps = f"--eps={rng.choice(['0', '-1', '1/4', *FUZZ_NUMBERS[2:]])}"
+    fmt = rng.choice(["table", "json"])
+    if is_spec:
+        levels = ",".join(str(rng.choice([0, 1, 2, 10 ** 6])) for _ in range(3))
+        return [["validate", name], ["quotient", name, eps], ["quotient", name, "--format", fmt],
+                ["selection-check", name, f"--levels={levels}"]]
+    weights = ",".join(rng.choice(["0", "1", "1/2", "-1", "1e5000"]) for _ in range(3))
+    return [["validate", name], ["classify", name, eps],
+            ["contract", name, f"--weights={weights}", "--format", fmt]]
+
+
+def test_seeded_fuzz_of_every_subcommand_exits_with_a_documented_code(tmp_path, capsys,
+                                                                      monkeypatch):
+    from test_golden_cli import INPUTS
+
+    documents = {**INPUTS}
+    for name in loop._BUNDLED:
+        with open(loop.bundled_path(name), encoding="utf-8") as fh:
+            documents[f"{name}.json"] = json.load(fh)
+    rng = random.Random(8)
+    runs = [[cmd, *argv] for cmd in ("demo-table1", "demo-lorentz", "demo-hysteresis")
+            for argv in ([], ["--format", "json"])]
+    runs += [["verify-kepler", "--samples", "2", f"--{param}={rng.choice(FUZZ_NUMBERS)}"]
+             for param in ("m", "alpha", "beta") for _ in range(2)]
+    monkeypatch.chdir(tmp_path)
+    for stem, data in sorted(documents.items()):
+        for n, kind in enumerate(FUZZ_KINDS * 2):
+            name = f"{n}_{stem}"
+            with open(name, "w", encoding="utf-8") as fh:
+                json.dump(_mutated(rng, data, kind), fh)
+            runs += _fuzz_argv(rng, name, "generators" in data)
+    codes = []
+    for argv in runs:
+        try:
+            code, out, err = run(capsys, *argv)
+        except Exception as exc:  # any escape is a failure, reported with its input
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert code in (0, 1, 2, 64) and len(err.splitlines()) <= 1, (argv, code, err)
+        assert (code == 0) == (not err) and "Traceback" not in err, (argv, code, err)
+        codes.append(code)
+    assert {0, 1, 64} <= set(codes), codes

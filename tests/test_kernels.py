@@ -45,6 +45,7 @@ from loopalg import (
 from loopalg import liealg, linalg, scalars
 from loopalg.linalg import mat_mul, mat_sub, matrix_rank, row_reduce
 from loopalg.liealg import ContractionUndefined, NotInSpan
+from loopalg.loop import SpecJacobiViolation
 from loopalg.scalars import add_term
 
 
@@ -1149,3 +1150,131 @@ def test_integer_jacobi_residuals_are_pinned():
         triple, residual = pinned[name]
         assert err.value.triple == triple and repr(err.value.residual) == residual
         assert str(err.value) == f"Jacobi identity fails on triple ({','.join(map(str, triple))}); residual {residual}"
+
+
+# -- the sparse Jacobi walk against the dense triple loop -----------------------------
+
+def ref_dense_jacobi(alg):
+    """The dense check the sparse walk replaced: every triple i < j < k in turn, the cyclic
+    sum of [X_a, [X_b, X_c]] in Fraction over the stored layers, each bracket's terms in
+    stored order; ((i, j, k), {e: {q: c}}) for the first failing triple, None if none fails."""
+    adj = {}
+    for q, layer in alg._layers.items():
+        for (i, j, k), n in layer.items():
+            adj.setdefault((i, j), []).append((k, q, Fraction(n, alg._den)))
+            adj.setdefault((j, i), []).append((k, q, Fraction(-n, alg._den)))
+    for i, j, k in itertools.combinations(range(alg.dim), 3):
+        res = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for d, q1, c1 in adj.get((b, c), ()):
+                for e, q2, c2 in adj.get((a, d), ()):
+                    qc = res.setdefault(e, {})
+                    qc[q1 + q2] = qc.get(q1 + q2, 0) + c1 * c2
+        res = {e: {q: c for q, c in qc.items() if c} for e, qc in res.items()}
+        if res := {e: qc for e, qc in res.items() if qc}:
+            return (i, j, k), res
+    return None
+
+
+def _unchecked(monkeypatch, build):
+    """build() with the Jacobi checks of LieAlgebra and LoopSpec switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(LieAlgebra, "validate", lambda self: None)
+        patch.setattr(LoopSpec, "_check_jacobi", lambda self: None)
+        return build()
+
+
+JACOBI_QS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+def random_bracket_table(rng, n):
+    """A sparse table with 1..2n constants, each a sum of eps-layers q in JACOBI_QS."""
+    table = {}
+    for _ in range(rng.randint(1, 2 * n)):
+        i, j = sorted(rng.sample(range(n), 2))
+        terms = [(rng.choice(JACOBI_QS), Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 2))]
+        table.setdefault((i, j), {})[rng.randrange(n)] = PuiseuxScalar(terms)
+    return table
+
+
+def test_sparse_jacobi_walk_matches_the_dense_triple_loop(monkeypatch):
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for _ in range(2000):
+        n = rng.randint(3, 7)
+        table = random_bracket_table(rng, n)
+        alg = _unchecked(monkeypatch, lambda: LieAlgebra(n, table))
+        dense = ref_dense_jacobi(alg)
+        try:
+            alg.validate()
+        except JacobiViolation as err:
+            (i, j, k), res = dense
+            residual = {e: PuiseuxScalar(list(qc.items())) for e, qc in res.items()}
+            assert (err.triple, err.residual) == ref_jacobi_violation(alg)
+            assert str(err) == f"Jacobi identity fails on triple ({i},{j},{k}); residual {residual}"
+            outcomes[False] += 1
+        else:
+            assert dense is None and ref_jacobi_violation(alg) is None
+            outcomes[True] += 1
+    assert min(outcomes.values()) > 400, outcomes  # both kinds are well represented
+
+
+def random_graded_spec(rng):
+    """(s, generators, brackets) with s = 2, grades in 0..3 and every term on the grade law."""
+    grades = [rng.randint(0, 3) for _ in range(rng.randint(2, 4))]
+    n = len(grades)
+    brackets = {}
+    for i, j in itertools.combinations(range(n), 2):
+        for k in range(n):
+            p, odd = divmod(grades[i] + grades[j] - grades[k], 2)
+            if p >= 0 and not odd and rng.random() < 0.6:
+                c = Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+                brackets.setdefault((i, j), []).append((k, c, p))
+    return 2, [(f"G{i}", g) for i, g in enumerate(grades)], brackets
+
+
+def test_spec_jacobi_refusal_matches_the_dense_triple_loop(monkeypatch):
+    rng = random.Random(310)
+    refused = 0
+    for _ in range(1000):
+        s, generators, brackets = random_graded_spec(rng)
+        spec = _unchecked(monkeypatch, lambda: LoopSpec(s, generators, brackets))
+        # the route the spec check took before: its level-0 quotient, checked densely
+        dense = ref_dense_jacobi(factor_algebra(spec, [0] * spec.n_generators))
+        try:
+            LoopSpec(s, generators, brackets)
+        except SpecJacobiViolation as err:
+            (i, j, k), res = dense
+            res = {(e, int(q)): c for e, qc in res.items() for q, c in sorted(qc.items())}
+            assert str(err) == f"Jacobi identity fails on basic triple ({i},{j},{k}): {res}"
+            refused += 1
+        else:
+            assert dense is None
+    assert 200 < refused < 800, refused
+
+
+def test_sparse_jacobi_walk_of_a_large_sparse_algebra_is_fast():
+    alg = LieAlgebra(120, {(0, 1): {2: 1}})
+    best = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        alg.validate()
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.010, best
+    with pytest.raises(JacobiViolation) as err:
+        LieAlgebra(120, {(0, 1): {2: 1}, (117, 118): {119: 1}, (2, 119): {119: 1}})
+    assert err.value.triple == (0, 1, 119)
+
+
+def test_a_loop_spec_checks_jacobi_without_building_an_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LoopSpec built or validated an algebra")
+
+    monkeypatch.setattr(LieAlgebra, "_from_layers", classmethod(refuse))
+    monkeypatch.setattr(LieAlgebra, "validate", refuse)
+    for name in ("h2", "l1", "l2"):
+        bundled_spec(name)
+    LoopSpec.from_json(H2_RESCALED)
+    with pytest.raises(SpecJacobiViolation, match=r"basic triple \(0,1,2\)"):
+        LoopSpec(2, [("A", 1), ("B", 1), ("C", 2)], {(0, 1): [(2, 1, 0)], (0, 2): [(0, 1, 1)]})
