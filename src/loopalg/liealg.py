@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm
 
 from . import linalg
@@ -135,25 +136,35 @@ def _bracket_terms(brackets, n, width, error):
             yield i, j, k, *rest
 
 
+def _json_array(data, key, default=None):
+    """data[key] (``default`` if given and key is absent), or a TypeError naming a non-array."""
+    value = data[key] if default is None else data.get(key, default)
+    if not isinstance(value, list):
+        raise TypeError(f"field {key!r} must be an array")
+    return value
+
+
 def _from_json(data, exponent, error, what, build):
     """build(table) for a JSON description, its ``brackets`` list read as
     {(i, j): [(k, c, e), ...]} with e the ``exponent`` entry (0 when absent).
-    A KeyError, TypeError, ValueError (a bad rational's InputError included)
-    or ArithmeticError becomes ``error``."""
+    A KeyError (a missing field), TypeError, ValueError (a bad rational's
+    InputError included) or ArithmeticError becomes ``error``."""
     try:
         if not isinstance(data, dict):
             raise TypeError(f"expected a JSON object, got {type(data).__name__}")
         table: dict[tuple[int, int], list] = {}
-        for entry in data.get("brackets", []):
+        for entry in _json_array(data, "brackets", []):
             i, j = as_int(entry["i"], "i"), as_int(entry["j"], "j")
             if i >= j:
                 raise error(f"bracket entry requires i < j, got ({i},{j})")
             table.setdefault((i, j), []).extend(
-                (t["k"], t["c"], t.get(exponent, 0)) for t in entry["terms"])
+                (t["k"], t["c"], t.get(exponent, 0)) for t in _json_array(entry, "terms"))
         return build(table)
     except (error, Rejected):
         raise
-    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+    except KeyError as exc:
+        raise error(f"malformed {what}: missing field {exc}") from exc
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise error(f"malformed {what}: {exc}") from exc
 
 
@@ -267,24 +278,26 @@ class LieAlgebra:
         """Rewrite the algebra in the basis Y_a = sum_j T[a][j] X_j (T invertible).
 
         T is prepared once (:func:`_prepared_basis`): scaled to the integer
-        matrix dt * T, whose 2x2 minors give [Y_a, Y_b], and inverted as
-        M / dinv.  The last T is kept, so a run of basis changes by one T (an
-        algebra, then each of its specialisations) prepares it once.  The inner
-        loops run in int arithmetic over the stored layers, and the new
-        constants are their int sums over dt * dinv * den.
+        matrix S = dt * T and inverted as M / dinv.  The last T is kept, so a
+        run of basis changes by one T (an algebra, then each of its
+        specialisations) prepares it once.  [Y_a, Y_b] multiplies each stored
+        term by the 2x2 minor of rows a and b of S on its columns, formed from
+        those two rows.  The inner loops run in int arithmetic over the stored
+        layers, and the new constants are their int sums over dt * dinv * den.
         """
         t = [_as_row(row) for row in t_rows]
         if len(t) != self._dim or any(len(r) != self._dim for r in t):
             raise WrongDimension("change-of-basis matrix must be dim x dim")
-        scale, minors, tinv = _prepared_basis(
+        scale, s, tinv = _prepared_basis(
             self._dim, tuple([(x.numerator, x.denominator) for row in t for x in row]))
         acc: dict = {}
         for q, layer in self._layers.items():
             out = acc[q] = {}
-            for (a, b), w in minors.items():
+            for a, b in combinations(range(self._dim), 2):
+                sa, sb = s[a], s[b]
                 vec: dict[int, int] = {}
                 for (i, j, k), c in layer.items():
-                    if x := w[i, j]:
+                    if x := sa[i] * sb[j] - sa[j] * sb[i]:
                         vec[k] = x = vec.get(k, 0) + x * c
                         if not x:
                             del vec[k]
@@ -312,22 +325,19 @@ class LieAlgebra:
 
 
 @lru_cache(maxsize=1)
-def _prepared_basis(n, key) -> tuple[int, dict, tuple]:
-    """(dt * dinv, minors, M), all ints, for an n x n T keyed by its entries' (numerator,
-    denominator) pairs, row by row: dt the lcm of the denominators, minors[a, b][i, j] the
-    2x2 minor of S = dt * T on rows a < b and columns i < j, and M / dinv = S**-1 with each
-    row as its nonzero (column, entry) pairs.  A singular T raises LinearlyDependent."""
+def _prepared_basis(n, key) -> tuple[int, tuple, tuple]:
+    """(dt * dinv, S, M), all ints, for an n x n T keyed by its entries' (numerator,
+    denominator) pairs, row by row: dt the lcm of the denominators, S = dt * T as int rows,
+    and M / dinv = S**-1 with each row as its nonzero (column, entry) pairs.  A singular T
+    raises LinearlyDependent."""
     dt = lcm(*[d for _, d in key])
-    s = [[p * (dt // d) for p, d in key[r * n:r * n + n]] for r in range(n)]
+    s = tuple([tuple([p * (dt // d) for p, d in key[r * n:r * n + n]]) for r in range(n)])
     inv = linalg._integer_inverse(s)
     if inv is None:
         raise LinearlyDependent("change-of-basis matrix is singular")
     tinv, dinv = inv
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    minors = {(a, b): {(i, j): s[a][i] * s[b][j] - s[a][j] * s[b][i] for i, j in pairs}
-              for a, b in pairs}
-    return dt * dinv, minors, tuple([tuple([(l, m) for l, m in enumerate(row) if m])
-                                     for row in tinv])
+    return dt * dinv, s, tuple([tuple([(l, m) for l, m in enumerate(row) if m])
+                                for row in tinv])
 
 
 def _eps_free(alg: LieAlgebra, op: str) -> dict:

@@ -268,6 +268,15 @@ def test_verify_kepler_overflow_is_a_numerical_failure(capsys):
         assert "PASS" not in out
 
 
+def test_verify_kepler_exits_2_on_a_point_within_a_step_of_the_boundary(capsys, monkeypatch):
+    # no sample reaches it from the command line (r >= 0.5, |phi| <= pi - 0.2)
+    monkeypatch.setattr(kepler, "sample_points", lambda samples, seed: [(1e-7, 0.5, 0.3, 1.0)])
+    code, out, err = run(capsys, "verify-kepler", "--samples", "2")
+    assert code == 2 and not out
+    assert err == ("error: point (r=1e-07, phi=0.5) is within one stencil step"
+                   " of the domain boundary\n")
+
+
 _SPEC = {"s": 1, "generators": [{"name": "A", "grade": 0}, {"name": "B", "grade": 1}],
          "brackets": []}
 _TERM_INF = {"i": 0, "j": 1, "terms": [{"k": 1, "c": 1e999}]}  # JSON 1e999 reads as inf
@@ -339,6 +348,27 @@ def test_malformed_input_file_exits_64_with_one_line(tmp_path, capsys, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(MALFORMED_FILES[name]))
     assert _rejected(*run(capsys, "validate", str(path)))
+
+
+# a missing field or a list field of another JSON type is named in the one error line
+@pytest.mark.parametrize("data, message", [
+    ({"dim": 3, "brackets": [{"i": 0, "terms": []}]}, "missing field 'j'"),
+    ({"dim": 3, "brackets": [{"i": 0, "j": 1, "terms": [{"c": "1"}]}]}, "missing field 'k'"),
+    ({"dim": 3, "brackets": [{"i": 0, "j": 1, "terms": None}]}, "field 'terms' must be an array"),
+    ({"dim": 3, "brackets": {"i": 0}}, "field 'brackets' must be an array"),
+    ({**_SPEC, "brackets": [{"i": 0, "terms": []}]}, "missing field 'j'"),
+    ({**_SPEC, "brackets": [{"i": 0, "j": 1, "terms": None}]}, "field 'terms' must be an array"),
+    ({**_SPEC, "brackets": "[]"}, "field 'brackets' must be an array"),
+    ({**_SPEC, "generators": [{"grade": 0}]}, "missing field 'name'"),
+    ({**_SPEC, "generators": None}, "field 'generators' must be an array"),
+], ids=["no_j", "no_k", "terms_null", "brackets_object", "spec_no_j", "spec_terms_null",
+        "spec_brackets_string", "spec_no_name", "spec_generators_null"])
+def test_a_malformed_file_names_the_field(tmp_path, capsys, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    what = "loop spec" if "generators" in data else "algebra description"
+    code, out, err = run(capsys, "validate", str(path))
+    assert _rejected(code, out, err) and err == f"error: malformed {what}: {message}\n"
 
 
 @pytest.mark.parametrize("command, data, message", [

@@ -16,6 +16,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -824,6 +825,23 @@ def test_change_basis_memo_keys_a_matrix_of_mixed_entries_once():
     assert info().hits == start.hits + 1 and info().misses == start.misses
     want = ref_change_basis(alg, [[Fraction(x) for x in row] for row in ints])
     assert again.same_constants(first) and first.same_constants(want)
+
+
+def test_prepared_basis_keeps_the_rows_of_t_not_its_minors():
+    # the memo holds S = dt * T and its inverse, O(n**2) ints: a table of every 2x2
+    # minor of T would take O(n**4), about 63 MB here
+    n = 40
+    alg = LieAlgebra(n, {(0, 1): {2: 1}})
+    t = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    liealg._prepared_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        got = alg.change_basis(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert got.change_basis(ref_inverse(t)).same_constants(alg)
 
 
 # -- layered storage ----------------------------------------------------------------

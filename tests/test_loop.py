@@ -582,6 +582,11 @@ def test_spec_json_round_trip(data):
     assert again.to_json() == spec.to_json()
 
 
+def test_spec_repr_lists_generators_with_their_grades():
+    assert repr(bundled_spec("h2")) == "LoopSpec(s=2, generators=[L:0, A1:1, A2:1])"
+    assert repr(LoopSpec(1, [], {})) == "LoopSpec(s=1, generators=[])"
+
+
 def test_malformed_spec_errors():
     good = bundled_spec("h2").to_json()
     bad = json.loads(json.dumps(good))
