@@ -136,11 +136,14 @@ def _bracket_terms(brackets, n, width, error):
             yield i, j, k, *rest
 
 
-def _json_array(data, key, default=None):
-    """data[key] (``default`` if given and key is absent), or a TypeError naming a non-array."""
+def _json_objects(data, key, default=None):
+    """data[key] (``default`` if given and key is absent), or a TypeError naming a field
+    that is not an array of JSON objects."""
     value = data[key] if default is None else data.get(key, default)
     if not isinstance(value, list):
         raise TypeError(f"field {key!r} must be an array")
+    if not all(isinstance(entry, dict) for entry in value):
+        raise TypeError(f"field {key!r} must hold objects")
     return value
 
 
@@ -153,12 +156,12 @@ def _from_json(data, exponent, error, what, build):
         if not isinstance(data, dict):
             raise TypeError(f"expected a JSON object, got {type(data).__name__}")
         table: dict[tuple[int, int], list] = {}
-        for entry in _json_array(data, "brackets", []):
+        for entry in _json_objects(data, "brackets", []):
             i, j = as_int(entry["i"], "i"), as_int(entry["j"], "j")
             if i >= j:
                 raise error(f"bracket entry requires i < j, got ({i},{j})")
             table.setdefault((i, j), []).extend(
-                (t["k"], t["c"], t.get(exponent, 0)) for t in _json_array(entry, "terms"))
+                (t["k"], t["c"], t.get(exponent, 0)) for t in _json_objects(entry, "terms"))
         return build(table)
     except (error, Rejected):
         raise
@@ -238,7 +241,7 @@ class LieAlgebra:
     @property
     def is_symbolic(self) -> bool:
         """True when any structure constant depends on eps."""
-        return any(q != 0 for q in self._layers)
+        return len(self._layers) > (0 in self._layers)  # a layer other than q = 0
 
     def constants_fraction(self) -> dict[tuple[int, int, int], Fraction]:
         """Structure constants as plain rationals; requires an eps-free algebra."""
@@ -261,7 +264,7 @@ class LieAlgebra:
         for q, layer in sorted(self._layers.items()):
             # only eps = 0 with q < 0 diverges, and eps_power names that term
             least = Fraction(layer[min(layer)], self._den) if q < 0 and not eps else None
-            a, b = eps_power(eps, q, least)
+            a, b = eps_power(eps, q, least) if q else (1, 1)
             if a:
                 powers.append((a, b, layer))
         den = lcm(*[b for _, b, _ in powers])
@@ -277,36 +280,48 @@ class LieAlgebra:
     def change_basis(self, t_rows) -> "LieAlgebra":
         """Rewrite the algebra in the basis Y_a = sum_j T[a][j] X_j (T invertible).
 
-        T is prepared once (:func:`_prepared_basis`): scaled to the integer
-        matrix S = dt * T and inverted as M / dinv.  The last T is kept, so a
-        run of basis changes by one T (an algebra, then each of its
-        specialisations) prepares it once.  [Y_a, Y_b] multiplies each stored
-        term by the 2x2 minor of rows a and b of S on its columns, formed from
-        those two rows.  The inner loops run in int arithmetic over the stored
-        layers, and the new constants are their int sums over dt * dinv * den.
+        T is read in one pass into a flat key of each entry's numerator and
+        denominator (an int or Fraction as it is, any other entry through
+        ``as_fraction``), and its shape is checked once every entry is read.  T is
+        prepared once (:func:`_prepared_basis`): scaled to the integer matrix
+        S = dt * T and inverted as M / dinv.  The last T is kept, so a run of basis
+        changes by one T (an algebra, then each of its specialisations) prepares it
+        once.  [Y_a, Y_b] multiplies each stored term by the 2x2 minor of rows a and
+        b of S on its columns, formed from those two rows; M maps the sums by target
+        into a row of the pair, and only its nonzero entries are stored.  The inner
+        loops run in int arithmetic over the stored layers, and the new constants
+        are their int sums over dt * dinv * den.
         """
-        t = [_as_row(row) for row in t_rows]
-        if len(t) != self._dim or any(len(r) != self._dim for r in t):
+        n, key, ends = self._dim, [], []
+        for t_row in t_rows:
+            for x in t_row:
+                if type(x) is not int and type(x) is not Fraction:
+                    x = as_fraction(x)
+                key += x.as_integer_ratio()
+            if isinstance(t_row, str):
+                _as_row(t_row)  # raises the TypeError that names a string row
+            ends.append(len(key))
+        if ends != [2 * n * r for r in range(1, n + 1)]:
             raise WrongDimension("change-of-basis matrix must be dim x dim")
-        scale, s, tinv = _prepared_basis(
-            self._dim, tuple([(x.numerator, x.denominator) for row in t for x in row]))
+        scale, s, tinv = _prepared_basis(n, tuple(key))
         acc: dict = {}
         for q, layer in self._layers.items():
             out = acc[q] = {}
-            for a, b in combinations(range(self._dim), 2):
+            items = list(layer.items())
+            for a, b in combinations(range(n), 2):
                 sa, sb = s[a], s[b]
                 vec: dict[int, int] = {}
-                for (i, j, k), c in layer.items():
+                for (i, j, k), c in items:
                     if x := sa[i] * sb[j] - sa[j] * sb[i]:
-                        vec[k] = x = vec.get(k, 0) + x * c
-                        if not x:
-                            del vec[k]
+                        vec[k] = vec.get(k, 0) + x * c
+                row: dict[int, int] = {}
                 for k, c in vec.items():
                     for l, m in tinv[k]:
-                        out[a, b, l] = x = out.get((a, b, l), 0) + m * c
-                        if not x:
-                            del out[a, b, l]
-        return LieAlgebra._from_layers(self._dim, scale * self._den, acc, self._names)
+                        row[l] = row.get(l, 0) + m * c
+                for l, x in row.items():
+                    if x:
+                        out[a, b, l] = x
+        return LieAlgebra._from_layers(n, scale * self._den, acc, self._names)
 
     def to_json(self) -> dict:
         table = {ij: [(k, c, str(q)) for k, qc in row.items() for q, c in qc]
@@ -326,12 +341,13 @@ class LieAlgebra:
 
 @lru_cache(maxsize=1)
 def _prepared_basis(n, key) -> tuple[int, tuple, tuple]:
-    """(dt * dinv, S, M), all ints, for an n x n T keyed by its entries' (numerator,
-    denominator) pairs, row by row: dt the lcm of the denominators, S = dt * T as int rows,
-    and M / dinv = S**-1 with each row as its nonzero (column, entry) pairs.  A singular T
-    raises LinearlyDependent."""
-    dt = lcm(*[d for _, d in key])
-    s = tuple([tuple([p * (dt // d) for p, d in key[r * n:r * n + n]]) for r in range(n)])
+    """(dt * dinv, S, M), all ints, for an n x n T keyed by its entries' numerators and
+    denominators in turn, row by row, as one flat tuple: dt the lcm of the denominators,
+    S = dt * T as int rows, and M / dinv = S**-1 with each row as its nonzero (column,
+    entry) pairs.  A singular T raises LinearlyDependent."""
+    dt = lcm(*key[1::2])
+    flat = [p * (dt // d) for p, d in zip(key[::2], key[1::2])]
+    s = tuple([tuple(flat[r * n:r * n + n]) for r in range(n)])
     inv = linalg._integer_inverse(s)
     if inv is None:
         raise LinearlyDependent("change-of-basis matrix is singular")
@@ -357,7 +373,8 @@ def _check_weights(alg: LieAlgebra, weights) -> tuple[Fraction, ...]:
 def _canonical(den, layers) -> tuple[int, dict]:
     """The stored form (d, {q: {key: m}}) of the layers {q: {key: n}} over den > 0: one
     gcd over all layers, empty ones dropped (none left gives d = 1)."""
-    layers = {q: ints for q, ints in layers.items() if ints}
+    if not all(layers.values()):
+        layers = {q: ints for q, ints in layers.items() if ints}
     g = gcd(den, *[n for ints in layers.values() for n in ints.values()])
     return (den, layers) if g == 1 else (
         den // g, {q: {key: n // g for key, n in ints.items()} for q, ints in layers.items()})
@@ -453,7 +470,7 @@ def classify3(alg: LieAlgebra) -> str:
     """
     if alg.dim != 3:
         raise WrongDimension(f"classify3 needs dimension 3, got {alg.dim}")
-    m = [[0] * 3 for _ in range(3)]
+    m = [[0] * 3, [0] * 3, [0] * 3]
     for (i, j, k), c in _eps_free(alg, "classify3").items():
         # (i, j) = (0, 1), (1, 2) are cyclic; (0, 2) is [X_2, X_0] with its sign flipped
         m[3 - i - j][k] = c if j - i == 1 else -c

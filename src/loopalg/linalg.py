@@ -20,8 +20,10 @@ from .scalars import scale_to_integers
 def _eliminate(m, reduce=True):
     """Fraction-free elimination of integer rows in place; returns the pivot columns.
 
-    Each update (piv * row_i - f * row_r) / prev, prev the previous pivot
-    (1 at the start), divides exactly (Bareiss): every entry stays a minor of
+    The pivot of column c is the first row at or below r with a nonzero entry
+    there; a column without one is skipped, and the walk stops once every row
+    holds a pivot.  Each update (piv * row_i - f * row_r) / prev, prev the previous
+    pivot (1 at the start), divides exactly (Bareiss): every entry stays a minor of
     the input, so the rows grow no faster than those minors.  Every row the
     step covers is updated, a zero f included, or the next division would
     not be exact.  With reduce=True the rows above each pivot are cleared too
@@ -31,21 +33,24 @@ def _eliminate(m, reduce=True):
     pivots = []
     prev = 1
     r = 0
+    rows = len(m)
     for c in range(len(m[0]) if m else 0):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
+        for pr in range(r, rows):
+            if m[pr][c]:
+                break
+        else:
             continue
         m[r], m[pr] = m[pr], m[r]
         top = m[r]
         piv = top[c]
-        for i in range(0 if reduce else r + 1, len(m)):
+        for i in range(0 if reduce else r + 1, rows):
             f = m[i][c]
             if i != r and (f or piv != prev):
                 m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], top)]
         prev = piv
         pivots.append(c)
         r += 1
-        if r == len(m):
+        if r == rows:
             break
     return pivots
 

@@ -32,7 +32,7 @@ import json
 import os
 from fractions import Fraction
 
-from .liealg import (LieAlgebra, _bracket_terms, _from_json, _jacobi_failure, _json_array,
+from .liealg import (LieAlgebra, _bracket_terms, _from_json, _jacobi_failure, _json_objects,
                      _scale_table, _shape, _to_json)
 from .scalars import (FrozenRecord, InputError, Rejected, _as_entry, _show, add_term, as_fraction,
                       as_int)
@@ -220,7 +220,7 @@ class LoopSpec:
     @classmethod
     def from_json(cls, data: dict) -> "LoopSpec":
         return _from_json(data, "hpow", SpecFormatError, "loop spec", lambda table: cls(
-            data["s"], [(g["name"], g["grade"]) for g in _json_array(data, "generators")], table,
+            data["s"], [(g["name"], g["grade"]) for g in _json_objects(data, "generators")], table,
             selection=data.get("selection")))
 
     def __repr__(self):

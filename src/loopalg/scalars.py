@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import ne
 
 
 class InputError(ValueError):
@@ -170,11 +171,11 @@ def eps_power(eps: Fraction, q, c) -> tuple[int, int]:
     part for a fractional q, which needs an exact power (InexactPower); a power
     q != 0 beyond MAX_POWER_BITS is an InputError.
     """
-    if eps == 0 or q == 0:  # the eps -> 0+ limit, or eps**0 = 1
+    a, b = eps.as_integer_ratio()
+    if not a or q == 0:  # the eps -> 0+ limit, or eps**0 = 1
         if q < 0:
             raise NegativeExponent(f"term {_show(c)}*eps^{_show(q)} diverges for eps -> 0")
         return int(q == 0), 1
-    a, b = eps.numerator, eps.denominator
     if max(abs(q.numerator), q.denominator) * (a.bit_length() + b.bit_length()) > MAX_POWER_BITS:
         raise InputError(f"eps^({_show(q)}) at eps = {_show(eps)} exceeds the exact-power bound "
                          f"of {MAX_POWER_BITS} bits")
@@ -339,4 +340,4 @@ def _charpoly(a) -> list:
 def _sign_changes(coeffs) -> int:
     """Sign changes along a coefficient sequence, zeros skipped (Descartes' count)."""
     signs = [x > 0 for x in coeffs if x]
-    return sum([x != y for x, y in zip(signs, signs[1:])])
+    return sum(map(ne, signs, signs[1:]))

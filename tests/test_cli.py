@@ -361,8 +361,15 @@ def test_malformed_input_file_exits_64_with_one_line(tmp_path, capsys, name):
     ({**_SPEC, "brackets": "[]"}, "field 'brackets' must be an array"),
     ({**_SPEC, "generators": [{"grade": 0}]}, "missing field 'name'"),
     ({**_SPEC, "generators": None}, "field 'generators' must be an array"),
+    # an entry of those lists that is not a JSON object
+    ({"dim": 3, "brackets": [5]}, "field 'brackets' must hold objects"),
+    ({"dim": 3, "brackets": [{"i": 0, "j": 1, "terms": ["x"]}]}, "field 'terms' must hold objects"),
+    ({**_SPEC, "brackets": [[0, 1]]}, "field 'brackets' must hold objects"),
+    ({**_SPEC, "brackets": [{"i": 0, "j": 1, "terms": ["x"]}]}, "field 'terms' must hold objects"),
+    ({**_SPEC, "generators": [3]}, "field 'generators' must hold objects"),
 ], ids=["no_j", "no_k", "terms_null", "brackets_object", "spec_no_j", "spec_terms_null",
-        "spec_brackets_string", "spec_no_name", "spec_generators_null"])
+        "spec_brackets_string", "spec_no_name", "spec_generators_null", "bracket_int",
+        "term_string", "spec_bracket_list", "spec_term_string", "spec_generator_int"])
 def test_a_malformed_file_names_the_field(tmp_path, capsys, data, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))

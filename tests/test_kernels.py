@@ -443,6 +443,27 @@ def test_bareiss_elimination_of_a_large_matrix_matches_and_stays_fast():
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("m", [
+    [],
+    [[0, 0, 0], [0, 0, 0]],
+    [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+    [[1, 2], [3, 4], [5, 6], [7, 9]],
+    [[0, 1], [0, 2], [3, 0]],
+    [[1, 2, 3, 4], [2, 4, 7, 1]],
+], ids=["empty", "zero", "zero_first_column", "more_rows_than_columns", "pivot_in_the_last_row",
+        "more_columns_than_rows"])
+def test_bareiss_elimination_of_degenerate_shapes(m):
+    # no pivot at all, a skipped column, a pivot found in the last row, and the
+    # early exit once every row holds a pivot with columns left over
+    check_elimination(m)
+
+
+def test_integer_inverse_of_a_singular_int_matrix_is_none():
+    for m in ([[0]], [[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[0, 0], [0, 1]]):
+        assert linalg._integer_inverse(m) is None
+        assert check_elimination(m) < len(m)
+
+
 def test_integer_inverse_of_an_int_matrix_skips_the_rational_scaling(monkeypatch):
     rng = random.Random(3131)
     cases = [low_rank(rng, n, n, rng.choice((n, n, n - 1))) for n in range(1, 9) for _ in range(20)]
@@ -802,6 +823,42 @@ def test_change_basis_memo_never_keeps_a_refusal():
         alg.change_basis([[1, 1, 0], [0, 0.5, 0], [0, 0, 2]])
     assert alg.change_basis(t).same_constants(good)
     assert good.same_constants(ref_change_basis(alg, [[Fraction(x) for x in row] for row in t]))
+
+
+_DIM = "change-of-basis matrix must be dim x dim"
+
+
+# every entry of T is read before its shape is checked, and a string row is
+# refused once its characters are read, so the first fault of T in that order wins
+@pytest.mark.parametrize("t, error, message", [
+    ([[1, 0, 0], "010", [0, 0, 1]], TypeError, "a row or vector must be a list, got the string '010'"),
+    ([[1, 0, 0], "0a0", [0, 0, 1]], scalars.InputError, "not a rational: 'a'"),
+    ([[1, 0, 0], [0, 1], [0, 0, 1]], WrongDimension, _DIM),
+    ([[1, 0, 0], [0, 1, 0, 0], [0, 0, 1]], WrongDimension, _DIM),
+    ([[1, 0, 0], [0, 1, 0]], WrongDimension, _DIM),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]], WrongDimension, _DIM),
+    ([[1, 0, 0], [0, 0.5, 0], [0, 0, 1]], TypeError, "not an exact rational: 0.5"),
+    ([[1, 0, 0], [0, True, 0], [0, 0, 1]], TypeError, "not an exact rational: True"),
+    ([[1, 0, 0], [0, "1_0", 0], [0, 0, 1]], scalars.InputError, "not a rational: '1_0'"),
+    ([[1, 0, 0], [0, "1/0", 0], [0, 0, 1]], scalars.InputError, "zero denominator: '1/0'"),
+    ([[1, 1, 0], [2, 2, 0], [0, 0, 1]], LinearlyDependent, "change-of-basis matrix is singular"),
+    ([[1, 0], [0, 1, 0], [0, 0, 0.5]], TypeError, "not an exact rational: 0.5"),
+    ([[0.5, 0, 0], [0, 1, 0], [0, 0]], TypeError, "not an exact rational: 0.5"),
+    ([[1, 0, 0], [0, 0.5, 0]], TypeError, "not an exact rational: 0.5"),
+    (["100", [0, 1, 0], [0, 0]], TypeError, "a row or vector must be a list, got the string '100'"),
+    ([[1, 0], [0, 1, 0], "001"], TypeError, "a row or vector must be a list, got the string '001'"),
+    ([[1, 1, 0], [1, 1, 0], [0, 0, "1_0"]], scalars.InputError, "not a rational: '1_0'"),
+    ([[1, 0, 0], None, [0, 0, 1]], TypeError, "'NoneType' object is not iterable"),
+], ids=["string_row", "string_row_no_rational", "short_row", "long_row", "two_rows", "four_rows",
+        "float", "bool", "digit_separator", "zero_denominator", "singular", "short_then_float",
+        "float_then_short", "two_rows_then_float", "string_then_short", "short_then_string",
+        "singular_then_separator", "none_row"])
+def test_change_basis_refuses_a_bad_matrix_by_its_first_fault(t, error, message):
+    alg = CLASSIFIED["so3"]()
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            alg.change_basis(t)
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_change_basis_memo_on_so31():
